@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeriesSample, ball_volume, unit_ball_volume
-from .paircount import _adjacency_masks, _uh_count_from_masks, close_pairs, count_close_pairs
+from .paircount import (
+    _adjacency_masks,
+    _uh_count_from_masks,
+    _uh_counts_1d,
+    close_pairs,
+    count_close_pairs,
+)
 
 __all__ = [
     "EstimateConfig",
@@ -169,9 +175,12 @@ def estimate_h3(sample: SeriesSample, eps0: float) -> float:
 def _u3_all(sample: SeriesSample, eps0: float, r: int) -> tuple[float, ...]:
     if sample.n < r + 4:
         raise ValueError(f"need n >= r + 4 for lags up to r (n={sample.n}, r={r})")
+    b2 = ball_volume(sample.d, eps0) ** 2
+    if sample.d == 1:
+        counts = _uh_counts_1d(sample, eps0, range(r + 1))
+        return tuple(c / (triple_normalizer(sample.n, h) * b2) for h, c in enumerate(counts))
     i_arr, j_arr = close_pairs(sample, eps0)
     masks = _adjacency_masks(sample.n, i_arr, j_arr)
-    b2 = ball_volume(sample.d, eps0) ** 2
     return tuple(
         _uh_count_from_masks(masks, sample.n, h) / (triple_normalizer(sample.n, h) * b2)
         for h in range(r + 1)

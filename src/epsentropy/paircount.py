@@ -1,15 +1,18 @@
 """Exact epsilon-close pair and lagged-triple counting.
 
 Counting is exact and boundary-inclusive: a pair at distance exactly eps
-counts.  All comparisons run on squared distances against eps^2, never on
-square roots.  Two interchangeable backends produce identical counts:
+counts.  All comparisons run on squared distances against eps*eps, never on
+square roots.  The backend follows from the dimension of the sample:
 
-* a uniform grid with cell side eps, scanning same-and-adjacent cells only,
-* a blockwise O(n^2) scan.
-
-The grid is used when it is safe and profitable (low dimension, bounded
-bounding-box cell count); otherwise the scan runs.  Counts never differ
-between backends, only speed does.
+* d = 1: rank windows.  One stable sort gives, for every point, the window
+  of sorted positions within eps, found by bisection on the exact squared
+  test.  Pair counts, pairs, the minimum distance and the lagged triples
+  all come from these windows in O(n log n) time and O(n) memory, exact by
+  construction.
+* d >= 2: a uniform grid with cell side eps, scanning same-and-adjacent
+  cells only, when it is safe and profitable (low dimension, bounded
+  bounding-box cell count); otherwise a blockwise O(n^2) scan.  Lagged
+  triples go through per-index neighbour bitmasks.
 """
 
 from __future__ import annotations
@@ -180,16 +183,25 @@ def _brute_scan(pts: np.ndarray, eps_sq: float, collect: bool):
     return count, min_sq, None
 
 
+def _sorted_min_sq(v: np.ndarray) -> float:
+    """Squared minimum distance of sorted values: the smallest adjacent gap."""
+    gap = float(np.diff(v).min())
+    return gap * gap
+
+
 def _min_sq_distance(pts: np.ndarray) -> float:
     """Exact squared minimum inter-point distance.
 
-    Consecutive rows give a cheap upper bound u (they are actual pairs); the
+    In 1-D it is the smallest gap of the sorted values.  Otherwise
+    consecutive rows give a cheap upper bound u (they are actual pairs); the
     minimal pair then lies in same-or-adjacent cells of a grid with side u,
     so one candidate sweep at that side is exact.
     """
     n, d = pts.shape
     if n < 2:
         raise ValueError("minimum distance needs at least two points")
+    if d == 1:
+        return _sorted_min_sq(np.sort(pts[:, 0]))
     if n <= 256 or d > GRID_DIM_LIMIT or 3**d > max(n, 729):
         _, min_sq, _ = _brute_scan(pts, -1.0, False)
         return min_sq
@@ -215,6 +227,47 @@ def _min_sq_distance(pts: np.ndarray) -> float:
     return min(u_sq, float(_sq_dists(pts, i_arr, j_arr).min()))
 
 
+def _rank_windows(v: np.ndarray, eps_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Windows [lo[p], hi[p]) of the sorted positions q within eps of v[p].
+
+    q is in the window iff fl(fl(v[q] - v[p])^2) <= eps_sq, the test every
+    other path applies, p itself included.  Rounding is monotone, so the
+    test is monotone in q on each side of p and bisection on it is exact;
+    no v +- eps search is trusted.  lo is nondecreasing in p, and by
+    symmetry q > p lies in p's window iff lo[q] <= p, which gives hi.
+    """
+    n = v.shape[0]
+    pos = np.arange(n)
+    # invariant: position b is within eps of p, and no position below a is
+    a = np.zeros(n, dtype=np.int64)
+    b = pos.copy()
+    while np.any(a < b):
+        mid = (a + b) // 2
+        gap = v - v[mid]
+        close = gap * gap <= eps_sq
+        b = np.where(close, mid, b)
+        a = np.where(close, a, mid + 1)
+    hi = np.searchsorted(a, pos, side="right")
+    return a, hi
+
+
+def _checked_eps(eps: float) -> float:
+    eps = float(eps)
+    if not (eps > 0.0) or not math.isfinite(eps):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    return eps
+
+
+def _exact_sum(terms: np.ndarray, bound: int) -> int:
+    """Exact integer sum of int64 terms with |term| <= bound.
+
+    Chunks are short enough that no int64 partial sum can overflow; the
+    chunk sums add as Python ints.
+    """
+    step = max(1, (2**63 - 1) // max(bound, 1))
+    return sum(int(terms[s : s + step].sum()) for s in range(0, terms.shape[0], step))
+
+
 def min_interpoint_distance(sample: SeriesSample) -> float:
     """Exact minimum pairwise distance Y_n = min_{i<j} d(X_i, X_j)."""
     return math.sqrt(_min_sq_distance(sample.points))
@@ -222,15 +275,18 @@ def min_interpoint_distance(sample: SeriesSample) -> float:
 
 def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     """Count pairs i < j with d(X_i, X_j) <= eps; also report exact Y_n."""
-    eps = float(eps)
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    eps = _checked_eps(eps)
     pts = sample.points
     n = sample.n
     if n < 2:
         raise ValueError("pair counting needs at least two observations")
     eps_sq = eps * eps
-    if _grid_is_profitable(pts, eps):
+    if sample.d == 1:
+        v = np.sort(pts[:, 0])
+        lo, _ = _rank_windows(v, eps_sq)
+        count = int((np.arange(n) - lo).sum())
+        min_sq = _sorted_min_sq(v)
+    elif _grid_is_profitable(pts, eps):
         i_arr, j_arr = _grid_candidate_pairs(pts, eps)
         if i_arr.size:
             sq = _sq_dists(pts, i_arr, j_arr)
@@ -249,13 +305,20 @@ def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
 
 def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j), i < j, with d(X_i, X_j) <= eps, as index arrays."""
-    eps = float(eps)
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    eps = _checked_eps(eps)
     pts = sample.points
     if sample.n < 2:
         raise ValueError("pair counting needs at least two observations")
     eps_sq = eps * eps
+    if sample.d == 1:
+        order = np.argsort(pts[:, 0], kind="stable")
+        _, hi = _rank_windows(pts[order, 0], eps_sq)
+        # sorted position p pairs with every q in (p, hi[p])
+        width = hi - np.arange(1, sample.n + 1)
+        p = np.repeat(np.arange(sample.n), width)
+        q = p + 1 + np.arange(p.shape[0]) - np.repeat(np.cumsum(width) - width, width)
+        i_arr, j_arr = order[p], order[q]
+        return np.minimum(i_arr, j_arr), np.maximum(i_arr, j_arr)
     if _grid_is_profitable(pts, eps):
         i_arr, j_arr = _grid_candidate_pairs(pts, eps)
         if i_arr.size == 0:
@@ -336,6 +399,42 @@ def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
         raise ValueError(f"lag must be nonnegative, got {h}")
     if sample.n < h + 4:
         raise ValueError(f"need n >= h + 4 (n={sample.n}, h={h})")
+    if sample.d == 1:
+        return _uh_counts_1d(sample, eps0, (h,))[0]
     i_arr, j_arr = close_pairs(sample, eps0)
     masks = _adjacency_masks(sample.n, i_arr, j_arr)
     return _uh_count_from_masks(masks, sample.n, h)
+
+
+def _uh_counts_1d(sample: SeriesSample, eps0: float, lags) -> list[int]:
+    """Lagged-triple counts of a 1-D sample, one per lag, from rank windows.
+
+    Same counts as count_uh_triples; the caller checks 0 <= h <= n - 4.
+    With W(i) the window of i (i itself included), deg_i = |W(i)| - 1 and
+    adj = [X_i ~ X_{i+h}], anchor i adds (deg_i - adj)(deg_{i+h} - adj)
+    minus |W(i) & W(i+h)| - 2 adj, the neighbours the two anchors share
+    outside {i, i+h}.  Each lag is O(n).
+    """
+    eps0 = _checked_eps(eps0)
+    x = sample.points[:, 0]
+    n = x.shape[0]
+    eps_sq = eps0 * eps0
+    order = np.argsort(x, kind="stable")
+    lo_s, hi_s = _rank_windows(x[order], eps_sq)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    lo, hi = lo_s[rank], hi_s[rank]
+    deg = hi - lo - 1
+    bound = (n - 1) * (n - 1)
+    out = []
+    for h in lags:
+        m = n - h - 1
+        if h == 0:
+            out.append(_exact_sum(deg[:m] * (deg[:m] - 1), bound))
+            continue
+        gap = x[:m] - x[h : h + m]
+        adj = (gap * gap <= eps_sq).astype(np.int64)
+        shared = np.maximum(0, np.minimum(hi[:m], hi[h : h + m]) - np.maximum(lo[:m], lo[h : h + m]))
+        terms = (deg[:m] - adj) * (deg[h : h + m] - adj) - (shared - 2 * adj)
+        out.append(_exact_sum(terms, bound))
+    return out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import brute_close_pairs, brute_min_distance, brute_pair_count, brute_uh_count
 
 from epsentropy.core import RngStream, SeriesSample
@@ -13,6 +15,12 @@ from epsentropy.paircount import (
     min_interpoint_distance,
     neighbor_counts,
 )
+
+
+# points 1 and 2 are exactly eps = 0.3 apart in floating point, and a grid
+# anchored at point 0 puts them two cells apart; the pair is then the only
+# witness of the lag-1 anchor (2, 3)
+_BOUNDARY_6 = [-10.557064909613523, -1.2570649096135238, -0.9570649096135239, 5.0, 5.0, 9.0]
 
 
 def _sample(seed, n, d, scale=1.0):
@@ -65,6 +73,13 @@ def test_boundary_is_inclusive():
     s2 = SeriesSample([[0.0, 0.0], [3.0, 4.0]])
     assert count_close_pairs(s2, 5.0).n_pairs_close == 1
     assert count_close_pairs(s2, float(np.nextafter(5.0, 0.0))).n_pairs_close == 0
+
+
+def test_boundary_pair_exactly_eps_apart_1d():
+    s = SeriesSample(_BOUNDARY_6[:3])
+    assert count_close_pairs(s, 0.3).n_pairs_close == 1
+    i_arr, j_arr = close_pairs(s, 0.3)
+    assert set(zip(i_arr.tolist(), j_arr.tolist())) == {(1, 2)}
 
 
 def test_count_invariances():
@@ -200,3 +215,53 @@ def test_uh_count_validation():
         count_uh_triples(s, -1, 0.5)
     with pytest.raises(ValueError):
         count_uh_triples(s, 7, 0.5)  # needs n >= h + 4
+
+
+def test_exact_sum_past_int64():
+    # chunked so no int64 partial sum wraps, as for n >= 2^21 anchors
+    from epsentropy.paircount import _exact_sum
+
+    terms = np.full(5, 2**62, dtype=np.int64)
+    assert _exact_sum(terms, 2**62) == 5 * 2**62
+
+
+# ---------------------------------------------------------------------------
+# 1-D rank windows against brute force on hostile inputs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _hostile_1d(draw):
+    """(points, eps): lattices k*eps, ulp nudges, duplicates, far offsets, wide eps."""
+    eps = draw(st.sampled_from([2.0**-3, 0.25, 1.0, 4.0, 0.1, 0.3, 1.0 / 3.0, 0.7]))
+    ks = draw(st.lists(st.integers(-6, 6), min_size=7, max_size=12))
+    # a shift off the lattice moves the rounding of every k*eps + shift
+    shift = draw(st.sampled_from([0.0, 0.1, -10.557064909613523]))
+    offset = draw(st.sampled_from([0.0, 1e9, -1e9]))
+    pts = np.array(ks, dtype=np.float64) * eps + shift + offset
+    nudges = draw(st.lists(st.integers(-2, 2), min_size=len(ks), max_size=len(ks)))
+    for t, k in enumerate(nudges):
+        for _ in range(abs(k)):
+            pts[t] = np.nextafter(pts[t], math.copysign(math.inf, k))
+    if draw(st.booleans()):
+        eps = 2.0 * float(pts.max() - pts.min()) + eps  # wider than the data span
+    return pts, eps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_hostile_1d())
+@example((np.array(_BOUNDARY_6), 0.3))
+def test_rank_windows_match_brute(case):
+    pts, eps = case
+    s = SeriesSample(pts)
+    col = pts[:, None]
+    res = count_close_pairs(s, eps)
+    assert res.n_pairs_close == brute_pair_count(col, eps)
+    assert res.min_distance == brute_min_distance(col)
+    assert min_interpoint_distance(s) == brute_min_distance(col)
+    i_arr, j_arr = close_pairs(s, eps)
+    assert np.all(i_arr < j_arr)
+    pairs = set(zip(i_arr.tolist(), j_arr.tolist()))
+    assert len(pairs) == i_arr.size
+    assert pairs == brute_close_pairs(col, eps)
+    for h in range(min(4, s.n - 3)):
+        assert count_uh_triples(s, h, eps) == brute_uh_count(col, h, eps)
