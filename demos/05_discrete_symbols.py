@@ -6,17 +6,10 @@ plug-in s2; it degenerates to zero for a uniform alphabet, where q2_hat has
 no first-order fluctuation left.
 """
 
-import math
-
 import numpy as np
 
 from epsentropy.core import RngStream
-from epsentropy.discrete import (
-    DiscreteSample,
-    discrete_report,
-    discrete_residual,
-    discrete_s2,
-)
+from epsentropy.discrete import DiscreteSample, discrete_report, discrete_residual
 from epsentropy.montecarlo import ks_test
 
 # a 1-dependent binary chain: X_t = 1{U_t + U_{t+1} > 1.2}
@@ -46,6 +39,6 @@ print()
 # uniform alphabet: s2 estimates a quantity that is exactly zero
 gen = RngStream(31, 999).generator()
 for n in (500, 4000, 32000):
-    s2 = discrete_s2(DiscreteSample(gen.integers(0, 4, size=n)), r=1)
+    s2 = discrete_report(DiscreteSample(gen.integers(0, 4, size=n)), r=1).s2_hat
     print("uniform 4-symbol alphabet, n=%-6d  s2 = %+.2e" % (n, s2))
 print("(for such degenerate cases the residual is refused rather than inflated)")

@@ -26,7 +26,6 @@ __all__ = [
     "RngStream",
     "ball_volume",
     "unit_ball_volume",
-    "euclidean_distance",
     "normal_quantile",
     "normal_cdf",
     "standard_normals",
@@ -129,17 +128,6 @@ def ball_volume(d: int, eps: float) -> float:
     if not (eps > 0.0) or not math.isfinite(eps):
         raise ValueError(f"radius must be positive and finite, got {eps}")
     return eps**d * vol1
-
-
-def euclidean_distance(x, y) -> float:
-    """Plain Euclidean distance between two points of equal dimension."""
-    xa = np.asarray(x, dtype=np.float64).ravel()
-    ya = np.asarray(y, dtype=np.float64).ravel()
-    if xa.shape != ya.shape:
-        raise ValueError(f"dimension mismatch: {xa.shape} vs {ya.shape}")
-    if xa.size == 0:
-        raise ValueError("points must have dimension >= 1")
-    return float(np.sqrt(np.sum((xa - ya) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +244,8 @@ def normal_quantile(p):
 def normal_cdf(x):
     """Standard normal CDF via the error function."""
     arr = np.asarray(x, dtype=np.float64)
-    flat = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in arr.ravel()])
+    root_half = math.sqrt(0.5)
+    flat = np.array([0.5 * math.erfc(-v * root_half) for v in arr.ravel()])
     out = flat.reshape(arr.shape)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import triple_normalizer
+from .estimators import _zeta_from, triple_normalizer
 
 __all__ = [
     "DiscreteSample",
     "DiscreteReport",
-    "discrete_q2",
-    "discrete_h2",
-    "discrete_u3",
-    "discrete_s2",
     "discrete_residual",
     "discrete_report",
 ]
@@ -84,28 +80,6 @@ class DiscreteReport:
         }
 
 
-def _codes_and_freq(sample: DiscreteSample) -> tuple[np.ndarray, np.ndarray]:
-    """Row codes plus the frequency of each row's own value."""
-    _, inverse, counts = np.unique(
-        sample.symbols, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.ravel()
-    return inverse, counts[inverse]
-
-
-def discrete_q2(sample: DiscreteSample) -> float:
-    """Tie proportion sum_v C(f_v, 2) / C(n, 2); estimates sum_v p_v^2."""
-    if sample.n < 2:
-        raise ValueError("need n >= 2")
-    _, counts = np.unique(sample.symbols, axis=0, return_counts=True)
-    matches = int(np.sum(counts * (counts - 1) // 2))
-    return matches / (sample.n * (sample.n - 1) // 2)
-
-
-def discrete_h2(sample: DiscreteSample) -> float:
-    return -math.log(max(discrete_q2(sample), 1.0 / sample.n))
-
-
 def _u3_count(codes: np.ndarray, freq: np.ndarray, n: int, h: int) -> int:
     """Triples (i, j, k) with X_j = X_i and X_k = X_{i+h}, j != k, both
     outside {i, i+h}; factorized per anchor i from whole-sample frequencies.
@@ -122,58 +96,31 @@ def _u3_count(codes: np.ndarray, freq: np.ndarray, n: int, h: int) -> int:
     return int(np.sum(a * b - overlap))
 
 
-def discrete_u3(sample: DiscreteSample, h: int) -> float:
-    """Lagged coincidence estimate of E[p(X_1) p(X_{1+h})] for symbols.
-
-    Counts triples (i, j, k) where X_j ties the anchor X_i and X_k ties the
-    lagged anchor X_{i+h}, with j, k distinct indices outside {i, i+h},
-    normalized by the number of admissible triples.  The exact-tie analogue
-    of the small-ball construction on the continuous side: each ball around
-    an anchor degenerates to the anchor's own symbol.  Saturates at 1 when
-    all symbols coincide.
-    """
-    h = int(h)
-    if h < 0:
-        raise ValueError(f"lag must be nonnegative, got {h}")
-    if sample.n < h + 4:
-        raise ValueError(f"need n >= h + 4 (n={sample.n}, h={h})")
-    codes, freq = _codes_and_freq(sample)
-    return _u3_count(codes, freq, sample.n, h) / triple_normalizer(sample.n, h)
-
-
-def discrete_s2(sample: DiscreteSample, r: int) -> float:
-    """Plug-in long-run variance (u3[0] - Q^2) + 2 sum_{h=1}^r (u3[h] - Q^2).
-
-    Not clamped; converges to zero for an iid uniform alphabet, where the
-    normal pivots are unavailable.
-    """
-    r = int(r)
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    if sample.n < r + 4:
-        raise ValueError(f"need n >= r + 4 (n={sample.n}, r={r})")
-    q = discrete_q2(sample)
-    codes, freq = _codes_and_freq(sample)
-    q_sq = q * q
-    z = _u3_count(codes, freq, sample.n, 0) / triple_normalizer(sample.n, 0) - q_sq
-    for h in range(1, r + 1):
-        z += 2.0 * (_u3_count(codes, freq, sample.n, h) / triple_normalizer(sample.n, h) - q_sq)
-    return z
-
-
 def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:
+    """Tie proportion, entropy, lagged coincidences and long-run variance.
+
+    qn = sum_v C(f_v, 2) / C(n, 2) estimates sum_v p_v^2.  u3_hat[h] counts
+    triples (i, j, k) where X_j ties the anchor X_i and X_k ties the lagged
+    anchor X_{i+h}, with j, k distinct indices outside {i, i+h}, over the
+    number of admissible triples: the exact-tie analogue of the small-ball
+    construction, estimating E[p(X_1) p(X_{1+h})] and saturating at 1 when
+    all symbols coincide.  s2_hat = (u3[0] - qn^2) + 2 sum_{h=1}^r (u3[h] -
+    qn^2) is the continuous zeta formula, not clamped; it converges to zero
+    for an iid uniform alphabet, where the normal pivots are unavailable.
+    """
     r = int(r)
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     if sample.n < r + 4:
         raise ValueError(f"need n >= r + 4 (n={sample.n}, r={r})")
-    q = discrete_q2(sample)
-    codes, freq = _codes_and_freq(sample)
+    _, codes, counts = np.unique(sample.symbols, axis=0, return_inverse=True, return_counts=True)
+    codes = codes.ravel()
+    freq = counts[codes]
+    matches = int(np.sum(counts * (counts - 1) // 2))
+    q = matches / (sample.n * (sample.n - 1) // 2)
     u3 = tuple(
         _u3_count(codes, freq, sample.n, h) / triple_normalizer(sample.n, h) for h in range(r + 1)
     )
-    q_sq = q * q
-    s2 = (u3[0] - q_sq) + 2.0 * sum(uh - q_sq for uh in u3[1:])
     return DiscreteReport(
         n=sample.n,
         d=sample.d,
@@ -181,7 +128,7 @@ def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:
         qn=q,
         h2_hat=-math.log(max(q, 1.0 / sample.n)),
         u3_hat=u3,
-        s2_hat=s2,
+        s2_hat=_zeta_from(q, u3),
     )
 
 

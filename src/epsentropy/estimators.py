@@ -39,13 +39,6 @@ __all__ = [
     "EstimateConfig",
     "EstimateReport",
     "ResidualKind",
-    "estimate_q2",
-    "estimate_h2",
-    "estimate_u3",
-    "estimate_h3",
-    "estimate_zeta",
-    "estimate_w",
-    "estimate_u",
     "estimate_report",
     "residual",
     "residual_from_report",
@@ -139,42 +132,12 @@ def triple_normalizer(n: int, h: int) -> int:
     return (n - h - 1) * (n - 2) * (n - 3)
 
 
-def estimate_q2(sample: SeriesSample, eps: float) -> tuple[float, float]:
-    """(qn_raw, q2_hat): close-pair proportion and its ball-volume rescaling."""
-    res = count_close_pairs(sample, eps)
-    qn = res.n_pairs_close / (res.n * (res.n - 1) / 2)
-    return qn, qn / ball_volume(sample.d, eps)
-
-
-def estimate_h2(sample: SeriesSample, eps: float) -> float:
-    """Quadratic Renyi entropy estimate -log(max(q2_hat, 1/n))."""
-    _, q2 = estimate_q2(sample, eps)
-    return -math.log(max(q2, 1.0 / sample.n))
-
-
-def estimate_u3(sample: SeriesSample, h: int, eps0: float) -> float:
-    """Lagged cubic-functional estimate at lag h and radius eps0.
-
-    Normalized triple count; estimates E[p(X_1) p(X_{1+h})] for the marginal
-    density p.  Saturates at ball_volume(d, eps0)^{-2} when every indicator
-    fires.
-    """
-    from .paircount import count_uh_triples
-
-    count = count_uh_triples(sample, h, eps0)
-    norm = triple_normalizer(sample.n, h)
-    return count / (norm * ball_volume(sample.d, eps0) ** 2)
-
-
-def estimate_h3(sample: SeriesSample, eps0: float) -> float:
-    """Cubic-route entropy estimate -(1/2) log(max(u3_hat[0], 1/n))."""
-    u0 = estimate_u3(sample, 0, eps0)
-    return -0.5 * math.log(max(u0, 1.0 / sample.n))
-
-
 def _u3_all(sample: SeriesSample, eps0: float, r: int) -> tuple[float, ...]:
-    if sample.n < r + 4:
-        raise ValueError(f"need n >= r + 4 for lags up to r (n={sample.n}, r={r})")
+    """u3_hat[h] for h = 0..r: triple counts over normalizer * ball_volume(d, eps0)^2.
+
+    Each estimates E[p(X_1) p(X_{1+h})] and saturates at
+    ball_volume(d, eps0)^{-2} when every indicator fires.
+    """
     b2 = ball_volume(sample.d, eps0) ** 2
     if sample.d == 1:
         counts = _uh_counts_1d(sample, eps0, range(r + 1))
@@ -188,38 +151,17 @@ def _u3_all(sample: SeriesSample, eps0: float, r: int) -> tuple[float, ...]:
 
 
 def _zeta_from(q2_hat: float, u3: tuple[float, ...]) -> float:
+    """(u3[0] - q^2) + 2 sum_{h=1}^{r} (u3[h] - q^2), the long-run variance plug-in.
+
+    Deliberately not clamped: small negative values are informative (they
+    flag a weak signal or an r far above the true dependence range).  The
+    discrete side uses the same formula for s2.
+    """
     q_sq = q2_hat * q2_hat
     z = u3[0] - q_sq
     for uh in u3[1:]:
         z += 2.0 * (uh - q_sq)
     return z
-
-
-def estimate_zeta(sample: SeriesSample, config: EstimateConfig) -> float:
-    """Plug-in long-run variance of the marginal density along the series.
-
-    (u3[0] - q2_hat^2) + 2 sum_{h=1}^{r} (u3[h] - q2_hat^2), deliberately not
-    clamped: small negative values are informative (they flag a weak signal
-    or an r far above the true dependence range).
-    """
-    _, q2 = estimate_q2(sample, config.eps)
-    u3 = _u3_all(sample, config.resolved_eps0, config.r)
-    return _zeta_from(q2, u3)
-
-
-def estimate_w(sample: SeriesSample, config: EstimateConfig) -> float:
-    """Scaler for the sqrt(n) regime: sqrt(2 q2_hat / (n b_eps) + 4 max(zeta, 1/n))."""
-    _, q2 = estimate_q2(sample, config.eps)
-    u3 = _u3_all(sample, config.resolved_eps0, config.r)
-    z = _zeta_from(q2, u3)
-    n = sample.n
-    return math.sqrt(2.0 * q2 / (n * ball_volume(sample.d, config.eps)) + 4.0 * max(z, 1.0 / n))
-
-
-def estimate_u(sample: SeriesSample, eps: float) -> float:
-    """Scaler for the small-eps regime: sqrt(2 max(q2_hat, 1/n) / b_1(d))."""
-    _, q2 = estimate_q2(sample, eps)
-    return math.sqrt(2.0 * max(q2, 1.0 / sample.n) / unit_ball_volume(sample.d))
 
 
 def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateReport:

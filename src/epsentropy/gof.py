@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeriesSample
-from .estimators import estimate_q2
+from .core import SeriesSample, ball_volume
+from .paircount import count_close_pairs
 
 __all__ = ["GofResult", "sample_covariance", "k_d", "gof_statistic"]
 
@@ -94,7 +94,9 @@ def gof_statistic(sample: SeriesSample, eps: float, delta: float = 0.1) -> GofRe
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     n = sample.n
-    _, q2 = estimate_q2(sample, eps)
+    # q2_hat alone: the full estimate_report would add a lagged-triple pass
+    pairs = count_close_pairs(sample, eps).n_pairs_close
+    q2 = pairs / (n * (n - 1) / 2) / ball_volume(sample.d, eps)
     clamped = q2 < 1.0 / n
     h2 = -math.log(max(q2, 1.0 / n))
     _, cov = sample_covariance(sample)

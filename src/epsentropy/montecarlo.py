@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import PoissonApprox
-from .core import RngStream, unit_ball_volume, worker_count
+from .core import RngStream, normal_cdf, unit_ball_volume, worker_count
 from .estimators import EstimateConfig, ResidualKind, estimate_report, residual_from_report
 from .paircount import count_close_pairs
 from .processes import ProcessSpec, generate
@@ -137,11 +137,6 @@ class SimulationOutcome:
 # Kolmogorov-Smirnov test
 # ---------------------------------------------------------------------------
 
-def _cdf_std_normal(x: np.ndarray) -> np.ndarray:
-    root_half = math.sqrt(0.5)
-    return np.array([0.5 * math.erfc(-v * root_half) for v in x])
-
-
 def _cdf_exp1(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 0.0, -np.expm1(-np.clip(x, 0.0, None)))
 
@@ -151,7 +146,7 @@ def _cdf_uniform01(x: np.ndarray) -> np.ndarray:
 
 
 _NAMED_CDFS = {
-    "std_normal": _cdf_std_normal,
+    "std_normal": normal_cdf,
     "exp1": _cdf_exp1,
     "uniform01": _cdf_uniform01,
 }

@@ -9,10 +9,11 @@ square roots.  The backend follows from the dimension of the sample:
   test.  Pair counts, pairs, the minimum distance and the lagged triples
   all come from these windows in O(n log n) time and O(n) memory, exact by
   construction.
-* d >= 2: a uniform grid with cell side eps, scanning same-and-adjacent
-  cells only, when it is safe and profitable (low dimension, bounded
-  bounding-box cell count); otherwise a blockwise O(n^2) scan.  Lagged
-  triples go through per-index neighbour bitmasks.
+* d >= 2: a uniform grid with cell side eps (widened by a proven rounding
+  margin), scanning same-and-adjacent cells only, when it is safe and
+  profitable (low dimension, bounded bounding-box cell count); otherwise a
+  blockwise O(n^2) scan.  Lagged triples go through per-index neighbour
+  bitmasks.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .core import SeriesSample
 
 __all__ = [
     "PairCountResult",
-    "NeighborCounts",
     "count_close_pairs",
     "close_pairs",
-    "neighbor_counts",
     "count_uh_triples",
     "min_interpoint_distance",
 ]
@@ -55,19 +54,6 @@ class PairCountResult:
     eps: float
 
 
-@dataclass(frozen=True)
-class NeighborCounts:
-    """Per-index neighbor counts at radius eps0.
-
-    counts[i] = #{j != i : j not excluded, d(X_i, X_j) <= eps0}.  The sum of
-    counts equals twice the pair count when nothing is excluded.
-    """
-
-    counts: np.ndarray
-    eps0: float
-    excluded: tuple[int, ...]
-
-
 def _grid_is_profitable(pts: np.ndarray, eps: float) -> bool:
     n, d = pts.shape
     if n < 2 or d > GRID_DIM_LIMIT:
@@ -87,8 +73,18 @@ def _grid_is_profitable(pts: np.ndarray, eps: float) -> bool:
 
 def _cell_table(pts: np.ndarray, side: float) -> dict[tuple[int, ...], np.ndarray]:
     # anchor the grid at the data minimum: cell indices then span only the
-    # bounding box, so far-from-origin coordinates cannot overflow the keys
-    keys = np.floor((pts - pts.min(axis=0)) / side).astype(np.int64)
+    # bounding box, so far-from-origin coordinates cannot overflow the keys.
+    # The side is widened so rounding cannot key a close pair two cells apart.
+    # With u = 2^-53, a pair passing fl(sum fl(fl(a - b)^2)) <= fl(side*side)
+    # has every per-coordinate gap below side * (1 + (d+3)u/2 + O(u^2)), and
+    # (d+3)u/2 < 2^-40 for d <= GRID_DIM_LIMIT.  fl(x - low) and the division
+    # add at most about 4u * span to the gap of the scaled coordinates, which
+    # span * 2^-50 = 8u * span covers.  The scaled gap is then at most 1, so
+    # the keys of such a pair differ by at most 1 in every coordinate.
+    low = pts.min(axis=0)
+    span = float((pts.max(axis=0) - low).max())
+    side = side * (1.0 + 2.0**-40) + span * 2.0**-50
+    keys = np.floor((pts - low) / side).astype(np.int64)
     order = np.lexsort(keys.T[::-1])
     sorted_keys = keys[order]
     breaks = np.nonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))[0] + 1
@@ -116,8 +112,8 @@ def _grid_candidate_pairs(
     """Index pairs (i, j), i < j, within same or adjacent cells of the grid.
 
     Superset of all pairs at distance <= side; distances still need checking.
-    Any grid origin works: per-coordinate gaps of close pairs are <= side, so
-    their cell indices differ by at most one in every coordinate.
+    _cell_table widens the side so that the cell indices of such a pair
+    differ by at most one in every coordinate.
     """
     if table is None:
         table = _cell_table(pts, side)
@@ -327,33 +323,6 @@ def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarra
         return i_arr[keep], j_arr[keep]
     _, _, pairs = _brute_scan(pts, eps_sq, True)
     return pairs
-
-
-def neighbor_counts(
-    sample: SeriesSample, eps0: float, excluded: tuple[int, ...] = ()
-) -> NeighborCounts:
-    """Per-index counts of eps0-neighbors, ignoring any excluded indices.
-
-    counts[i] stays defined for excluded i as well: exclusion removes
-    indices from the *neighbor* role only.
-    """
-    ex = tuple(int(e) for e in excluded)
-    for e in ex:
-        if not 0 <= e < sample.n:
-            raise ValueError(f"excluded index {e} outside [0, {sample.n})")
-    if len(set(ex)) != len(ex):
-        raise ValueError("excluded indices must be distinct")
-    i_arr, j_arr = close_pairs(sample, eps0)
-    counts = np.zeros(sample.n, dtype=np.int64)
-    if i_arr.size:
-        if ex:
-            ex_arr = np.asarray(ex, dtype=np.int64)
-            np.add.at(counts, i_arr[~np.isin(j_arr, ex_arr)], 1)
-            np.add.at(counts, j_arr[~np.isin(i_arr, ex_arr)], 1)
-        else:
-            np.add.at(counts, i_arr, 1)
-            np.add.at(counts, j_arr, 1)
-    return NeighborCounts(counts=counts, eps0=float(eps0), excluded=ex)
 
 
 def _adjacency_masks(n: int, i_arr: np.ndarray, j_arr: np.ndarray) -> list[int]:

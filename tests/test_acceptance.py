@@ -3,7 +3,7 @@
 Each test prints a single line with the measured quantity and its band, then
 asserts the band.  Everything is seeded, so these numbers are reproducible
 bit for bit; the statistical margins were chosen against the frozen seeds.
-Full module runtime is about a minute single-threaded.
+Full module runtime is about 8 s on a 2-vCPU host.
 """
 
 import json
@@ -15,8 +15,8 @@ import pytest
 from epsentropy import cli
 from epsentropy.asymptotics import exp_pivot_ci
 from epsentropy.core import RngStream, SeriesSample, unit_ball_volume, write_sample_csv
-from epsentropy.discrete import DiscreteSample, discrete_q2, discrete_residual, discrete_s2
-from epsentropy.estimators import EstimateConfig, ResidualKind, estimate_q2, estimate_report
+from epsentropy.discrete import DiscreteSample, discrete_report, discrete_residual
+from epsentropy.estimators import EstimateConfig, ResidualKind, estimate_report
 from epsentropy.gof import gof_statistic, k_d
 from epsentropy.montecarlo import (
     SimulationPlan,
@@ -162,7 +162,7 @@ def test_criterion_07_dual_route_exactness():
     for j, n in enumerate((50, 200)):
         gen = RngStream(702, j).generator()
         symbols = gen.integers(0, 5, size=n)
-        assert discrete_q2(DiscreteSample(symbols)) == brute_discrete_q2(symbols)
+        assert discrete_report(DiscreteSample(symbols), 0).qn == brute_discrete_q2(symbols)
         scans += 1
 
     _verdict(7, True,
@@ -179,7 +179,7 @@ def test_criterion_08_shrinking_eps_consistency():
     for i in range(reps):
         g = generate(spec, max(sizes), RngStream(20260220, i))
         for n in sizes:
-            sums[n] += estimate_q2(g.sample.prefix(n), n ** -0.4)[1]
+            sums[n] += estimate_report(g.sample.prefix(n), EstimateConfig(eps=n ** -0.4)).q2_hat
     errors = [abs(sums[n] / reps - q2_true) for n in sizes]
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     ok = decreasing and errors[-1] < 0.02
@@ -230,7 +230,7 @@ def test_criterion_11_discrete_residuals_and_s2():
 
     gen = RngStream(SEED, 999).generator()
     bands = {500: 1e-2, 2000: 3e-3, 8000: 1e-3}
-    s2_vals = {n: discrete_s2(DiscreteSample(gen.integers(0, 4, size=n)), 2)
+    s2_vals = {n: discrete_report(DiscreteSample(gen.integers(0, 4, size=n)), 2).s2_hat
                for n in bands}
     s2_ok = all(abs(s2_vals[n]) < band for n, band in bands.items())
 

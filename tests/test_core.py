@@ -9,7 +9,6 @@ from epsentropy.core import (
     RngStream,
     SeriesSample,
     ball_volume,
-    euclidean_distance,
     normal_cdf,
     normal_quantile,
     read_sample_csv,
@@ -109,15 +108,6 @@ def test_ball_volume_scales_as_eps_power(d, eps):
 def test_ball_volume_rejects_bad_radius(eps):
     with pytest.raises(ValueError):
         ball_volume(2, eps)
-
-
-def test_euclidean_distance():
-    assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-    assert euclidean_distance(1.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        euclidean_distance([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        euclidean_distance([], [])
 
 
 # ---------------------------------------------------------------------------

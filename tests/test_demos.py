@@ -1,0 +1,24 @@
+"""Every demo script runs to completion against the package in this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

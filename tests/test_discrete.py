@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 from helpers import brute_discrete_q2, brute_discrete_uh_count
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from epsentropy.core import RngStream
-from epsentropy.discrete import (
-    DiscreteSample,
-    discrete_h2,
-    discrete_q2,
-    discrete_report,
-    discrete_residual,
-    discrete_s2,
-    discrete_u3,
-)
-from epsentropy.estimators import triple_normalizer
+from epsentropy.core import RngStream, SeriesSample, ball_volume
+from epsentropy.discrete import DiscreteSample, discrete_report, discrete_residual
+from epsentropy.estimators import EstimateConfig, estimate_report, triple_normalizer
 
 
 def _sym(seed, n, hi, d=1):
@@ -51,27 +45,29 @@ def test_sample_rejects_non_integer(bad):
 # ---------------------------------------------------------------------------
 
 def test_q2_hand_case():
-    assert discrete_q2(DiscreteSample([1, 1, 2])) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # one tie among C(4, 2) = 6 pairs; the isolated 5 makes n >= r + 4
+    rep = discrete_report(DiscreteSample([1, 1, 2, 5]), 0)
+    assert rep.qn == pytest.approx(1.0 / 6.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed,n,hi,d", [(1, 30, 3, 1), (2, 50, 5, 1), (3, 40, 2, 2)])
 def test_q2_matches_pairwise_scan(seed, n, hi, d):
     s = _sym(seed, n, hi, d)
-    assert discrete_q2(s) == pytest.approx(brute_discrete_q2(s.symbols), rel=1e-15)
+    assert discrete_report(s, 0).qn == pytest.approx(brute_discrete_q2(s.symbols), rel=1e-15)
 
 
 def test_q2_extremes_and_h2_clamp():
-    distinct = DiscreteSample(np.arange(10))
-    equal = DiscreteSample(np.zeros(10, dtype=np.int64))
-    assert discrete_q2(distinct) == 0.0
-    assert discrete_h2(distinct) == pytest.approx(math.log(10), rel=1e-15)
-    assert discrete_q2(equal) == 1.0
-    assert discrete_h2(equal) == 0.0
+    distinct = discrete_report(DiscreteSample(np.arange(10)), 0)
+    equal = discrete_report(DiscreteSample(np.zeros(10, dtype=np.int64)), 0)
+    assert distinct.qn == 0.0
+    assert distinct.h2_hat == pytest.approx(math.log(10), rel=1e-15)
+    assert equal.qn == 1.0
+    assert equal.h2_hat == 0.0
 
 
 def test_negative_symbols_are_ordinary_values():
     s = DiscreteSample([-4, -4, 0, 7])
-    assert discrete_q2(s) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert discrete_report(s, 0).qn == pytest.approx(1.0 / 6.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -83,33 +79,34 @@ def test_negative_symbols_are_ordinary_values():
 def test_u3_matches_enumeration(h, seed, n, hi, d):
     s = _sym(seed, n, hi, d)
     expected = brute_discrete_uh_count(s.symbols, h) / triple_normalizer(n, h)
-    assert discrete_u3(s, h) == pytest.approx(expected, rel=1e-15)
+    assert discrete_report(s, h).u3_hat[h] == pytest.approx(expected, rel=1e-15)
 
 
 def test_u3_hand_enumeration():
     # (1, 1, 2, 1, 2), h = 1: anchors i = 0..2, checked by the literal count
     s = DiscreteSample([1, 1, 2, 1, 2])
-    assert discrete_u3(s, 1) == brute_discrete_uh_count(s.symbols, 1) / triple_normalizer(5, 1)
+    expected = brute_discrete_uh_count(s.symbols, 1) / triple_normalizer(5, 1)
+    assert discrete_report(s, 1).u3_hat[1] == expected
 
 
 @pytest.mark.parametrize("h", [0, 1, 2])
 def test_u3_saturates_at_one(h):
-    assert discrete_u3(DiscreteSample(np.zeros(9, dtype=np.int64)), h) == 1.0
+    assert discrete_report(DiscreteSample(np.zeros(9, dtype=np.int64)), h).u3_hat[h] == 1.0
 
 
 @pytest.mark.parametrize("h", [0, 1])
 def test_u3_zero_when_all_distinct(h):
-    assert discrete_u3(DiscreteSample(np.arange(9)), h) == 0.0
+    assert discrete_report(DiscreteSample(np.arange(9)), h).u3_hat[h] == 0.0
 
 
 def test_u3_needs_enough_observations():
     s = DiscreteSample([1, 1, 2])
     with pytest.raises(ValueError):
-        discrete_u3(s, 0)
+        discrete_report(s, 0)
     with pytest.raises(ValueError):
-        discrete_u3(_sym(13, 6, 2), 3)
+        discrete_report(_sym(13, 6, 2), 3)
     with pytest.raises(ValueError):
-        discrete_u3(_sym(13, 6, 2), -1)
+        discrete_report(_sym(13, 6, 2), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,28 +114,29 @@ def test_u3_needs_enough_observations():
 # ---------------------------------------------------------------------------
 
 def test_s2_at_r0_is_u0_minus_q_squared():
-    s = _sym(14, 60, 3)
-    q = discrete_q2(s)
-    assert discrete_s2(s, 0) == pytest.approx(discrete_u3(s, 0) - q * q, rel=1e-12)
+    rep = discrete_report(_sym(14, 60, 3), 0)
+    q = rep.qn
+    assert rep.s2_hat == pytest.approx(rep.u3_hat[0] - q * q, rel=1e-12)
 
 
 def test_s2_composition():
     s = _sym(15, 80, 3)
-    q = discrete_q2(s)
-    expected = (discrete_u3(s, 0) - q * q) + 2 * sum(
-        discrete_u3(s, h) - q * q for h in (1, 2)
-    )
-    assert discrete_s2(s, 2) == pytest.approx(expected, rel=1e-12)
+    q = brute_discrete_q2(s.symbols)
+    u3 = [brute_discrete_uh_count(s.symbols, h) / triple_normalizer(80, h) for h in range(3)]
+    expected = (u3[0] - q * q) + 2 * sum(u3[h] - q * q for h in (1, 2))
+    assert discrete_report(s, 2).s2_hat == pytest.approx(expected, rel=1e-12)
 
 
 def test_report_bundles_everything():
     s = _sym(16, 70, 4)
     rep = discrete_report(s, 2)
+    q = brute_discrete_q2(s.symbols)
     assert (rep.n, rep.d, rep.r) == (70, 1, 2)
-    assert rep.qn == discrete_q2(s)
-    assert rep.h2_hat == discrete_h2(s)
-    assert rep.u3_hat == tuple(discrete_u3(s, h) for h in range(3))
-    assert rep.s2_hat == pytest.approx(discrete_s2(s, 2), rel=1e-15)
+    assert rep.qn == q
+    assert rep.h2_hat == -math.log(max(q, 1 / 70))
+    assert rep.u3_hat == tuple(
+        brute_discrete_uh_count(s.symbols, h) / triple_normalizer(70, h) for h in range(3)
+    )
     assert rep.to_dict()["u3_hat"] == list(rep.u3_hat)
 
 
@@ -157,7 +155,7 @@ def test_residual_hand_case():
 def test_residual_rejects_nonpositive_s2():
     # (1,1,1,2,2): U_0 = 6/48 < Q^2 = 0.16, so the plug-in goes negative
     s = DiscreteSample([1, 1, 1, 2, 2])
-    assert discrete_s2(s, 0) < 0.0
+    assert discrete_report(s, 0).s2_hat < 0.0
     with pytest.raises(ValueError, match="s2"):
         discrete_residual(s, 0, 0.5, "q")
 
@@ -203,7 +201,7 @@ def test_chain_zeta_oracle_agrees_with_monte_carlo():
 
 def test_s2_estimates_chain_long_run_variance():
     s = _binary_chain(20_000, RngStream(301, 0))
-    assert discrete_s2(s, 1) == pytest.approx(_chain_zeta(), rel=0.15)
+    assert discrete_report(s, 1).s2_hat == pytest.approx(_chain_zeta(), rel=0.15)
 
 
 def test_s2_vanishes_for_uniform_alphabet():
@@ -212,10 +210,37 @@ def test_s2_vanishes_for_uniform_alphabet():
     gen = RngStream(302, 0).generator()
     small = DiscreteSample(gen.integers(0, 4, size=1000))
     large = DiscreteSample(gen.integers(0, 4, size=16_000))
-    assert abs(discrete_s2(small, 2)) < 0.01
-    assert abs(discrete_s2(large, 2)) < 0.002
+    assert abs(discrete_report(small, 2).s2_hat) < 0.01
+    assert abs(discrete_report(large, 2).s2_hat) < 0.002
 
 
 def test_report_needs_n_at_least_r_plus_4():
     with pytest.raises(ValueError):
         discrete_report(DiscreteSample([1, 1, 2, 2, 1]), 2)
+
+
+# ---------------------------------------------------------------------------
+# the continuous estimator on integers at eps = 1/2 is the discrete one
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _symbols_and_lag(draw):
+    r = draw(st.integers(0, 4))
+    x = draw(st.lists(st.integers(-3, 5), min_size=r + 4, max_size=r + 30))
+    return x, r
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_symbols_and_lag())
+@example(([3, 0, 0, 0, 2, 5, 1, 4, 0], 4))
+def test_continuous_report_at_half_eps_equals_discrete(case):
+    # integers are within 1/2 of each other only when equal, and the ball of
+    # radius 1/2 in R has volume exactly 1, so every field must agree exactly
+    x, r = case
+    assert ball_volume(1, 0.5) == 1.0
+    cont = estimate_report(SeriesSample(np.array(x, dtype=float)), EstimateConfig(eps=0.5, r=r))
+    disc = discrete_report(DiscreteSample(np.array(x, dtype=np.int64)), r)
+    assert cont.qn_raw == disc.qn and cont.q2_hat == disc.qn
+    assert cont.h2_hat == disc.h2_hat
+    assert cont.u3_hat == disc.u3_hat
+    assert cont.zeta_hat == disc.s2_hat

@@ -9,23 +9,21 @@ from epsentropy.estimators import (
     EstimateConfig,
     EstimateReport,
     ResidualKind,
-    estimate_h2,
-    estimate_h3,
-    estimate_q2,
     estimate_report,
-    estimate_u,
-    estimate_u3,
-    estimate_w,
-    estimate_zeta,
     residual,
     residual_from_report,
     suggest_eps,
     triple_normalizer,
 )
+from epsentropy.paircount import count_close_pairs, count_uh_triples
 
 
 def _sample(seed, n, d=1):
     return SeriesSample(RngStream(seed, 0).generator().normal(size=(n, d)))
+
+
+def _report(sample, eps, eps0=None, r=0):
+    return estimate_report(sample, EstimateConfig(eps=eps, eps0=eps0, r=r))
 
 
 # ---------------------------------------------------------------------------
@@ -67,31 +65,32 @@ def test_triple_normalizer_hand_values():
 # ---------------------------------------------------------------------------
 
 def test_q2_hand_case():
-    # one close pair out of three: qn = 1/3, ball volume 2 * 0.15
-    s = SeriesSample([0.0, 0.1, 0.5])
-    qn, q2 = estimate_q2(s, 0.15)
-    assert qn == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert q2 == pytest.approx((1.0 / 3.0) / 0.3, rel=1e-14)
+    # one close pair out of six (the isolated 10.0 makes n >= r + 4):
+    # qn = 1/6, ball volume 2 * 0.15
+    s = SeriesSample([0.0, 0.1, 0.5, 10.0])
+    rep = _report(s, 0.15)
+    assert rep.qn_raw == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert rep.q2_hat == pytest.approx((1.0 / 6.0) / 0.3, rel=1e-14)
 
 
 def test_q2_matches_brute_normalization():
     s = _sample(12, 300, 2)
     eps = 0.2
-    qn, q2 = estimate_q2(s, eps)
+    rep = _report(s, eps)
     pairs = brute_pair_count(s.points, eps)
-    assert qn == pairs / (300 * 299 / 2)
-    assert q2 == pytest.approx(qn / ball_volume(2, eps), rel=1e-15)
+    assert rep.qn_raw == pairs / (300 * 299 / 2)
+    assert rep.q2_hat == pytest.approx(rep.qn_raw / ball_volume(2, eps), rel=1e-15)
 
 
 def test_h2_is_neg_log_q2():
-    s = _sample(13, 200)
-    assert estimate_h2(s, 0.2) == pytest.approx(-math.log(estimate_q2(s, 0.2)[1]), rel=1e-15)
+    rep = _report(_sample(13, 200), 0.2)
+    assert rep.h2_hat == pytest.approx(-math.log(rep.q2_hat), rel=1e-15)
 
 
 def test_h2_clamps_at_log_n():
-    s = SeriesSample(np.arange(10.0) * 100.0)
-    assert estimate_q2(s, 0.001)[1] == 0.0
-    assert estimate_h2(s, 0.001) == pytest.approx(math.log(10), rel=1e-15)
+    rep = _report(SeriesSample(np.arange(10.0) * 100.0), 0.001)
+    assert rep.q2_hat == 0.0
+    assert rep.h2_hat == pytest.approx(math.log(10), rel=1e-15)
 
 
 @pytest.mark.parametrize("h", [0, 1, 2])
@@ -101,48 +100,53 @@ def test_u3_matches_enumeration(h):
     expected = brute_uh_count(s.points, h, eps0) / (
         triple_normalizer(25, h) * ball_volume(1, eps0) ** 2
     )
-    assert estimate_u3(s, h, eps0) == pytest.approx(expected, rel=1e-14)
+    assert _report(s, eps0, r=h).u3_hat[h] == pytest.approx(expected, rel=1e-14)
 
 
 def test_u3_saturation_value():
     # all indicators fire: u3 = ball_volume^{-2} regardless of lag
     s = SeriesSample(np.linspace(0.0, 1e-4, 9))
+    u3 = _report(s, 0.5, r=3).u3_hat
     for h in (0, 1, 3):
-        assert estimate_u3(s, h, 0.5) == pytest.approx(ball_volume(1, 0.5) ** -2, rel=1e-14)
+        assert u3[h] == pytest.approx(ball_volume(1, 0.5) ** -2, rel=1e-14)
 
 
 def test_h3_definition():
-    s = _sample(15, 60)
-    u0 = estimate_u3(s, 0, 0.3)
-    assert estimate_h3(s, 0.3) == pytest.approx(-0.5 * math.log(max(u0, 1.0 / 60)), rel=1e-15)
+    rep = _report(_sample(15, 60), 0.3)
+    u0 = rep.u3_hat[0]
+    assert rep.h3_hat == pytest.approx(-0.5 * math.log(max(u0, 1.0 / 60)), rel=1e-15)
+
+
+def _q2_from_count(s, eps):
+    return count_close_pairs(s, eps).n_pairs_close / (s.n * (s.n - 1) / 2) / ball_volume(s.d, eps)
+
+
+def _u3_from_count(s, h, eps0):
+    return count_uh_triples(s, h, eps0) / (triple_normalizer(s.n, h) * ball_volume(s.d, eps0) ** 2)
 
 
 def test_zeta_composition():
     s = _sample(16, 80)
-    cfg = EstimateConfig(eps=0.3, eps0=0.25, r=2)
-    _, q2 = estimate_q2(s, 0.3)
-    u = [estimate_u3(s, h, 0.25) for h in range(3)]
+    q2 = _q2_from_count(s, 0.3)
+    u = [_u3_from_count(s, h, 0.25) for h in range(3)]
     expected = (u[0] - q2**2) + 2 * ((u[1] - q2**2) + (u[2] - q2**2))
-    assert estimate_zeta(s, cfg) == pytest.approx(expected, rel=1e-12)
+    assert _report(s, 0.3, 0.25, r=2).zeta_hat == pytest.approx(expected, rel=1e-12)
 
 
 def test_zeta_not_clamped_below_zero():
     # one tight pair gives q2 > 0 while every triple count at eps0 is zero,
     # so the plug-in lands strictly negative and must stay there
     s = SeriesSample([0.0, 0.05, 10.0, 20.0, 30.0, 40.0])
-    cfg = EstimateConfig(eps=0.1, eps0=0.01, r=1)
-    assert estimate_zeta(s, cfg) < 0.0
+    assert _report(s, 0.1, 0.01, r=1).zeta_hat < 0.0
 
 
 def test_w_and_u_formulas():
-    s = _sample(17, 150)
-    cfg = EstimateConfig(eps=0.2, r=1)
-    _, q2 = estimate_q2(s, 0.2)
-    z = estimate_zeta(s, cfg)
+    rep = _report(_sample(17, 150), 0.2, r=1)
+    q2, z = rep.q2_hat, rep.zeta_hat
     w_expected = math.sqrt(2 * q2 / (150 * ball_volume(1, 0.2)) + 4 * max(z, 1 / 150))
-    assert estimate_w(s, cfg) == pytest.approx(w_expected, rel=1e-13)
+    assert rep.w_hat == pytest.approx(w_expected, rel=1e-13)
     u_expected = math.sqrt(2 * max(q2, 1 / 150) / unit_ball_volume(1))
-    assert estimate_u(s, 0.2) == pytest.approx(u_expected, rel=1e-13)
+    assert rep.u_hat == pytest.approx(u_expected, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +157,16 @@ def test_report_agrees_with_parts():
     s = _sample(18, 120, 2)
     cfg = EstimateConfig(eps=0.3, eps0=0.2, r=2)
     rep = estimate_report(s, cfg)
-    qn, q2 = estimate_q2(s, 0.3)
+    pairs = count_close_pairs(s, 0.3)
+    qn = pairs.n_pairs_close / (120 * 119 / 2)
+    q2 = _q2_from_count(s, 0.3)
+    u3 = tuple(_u3_from_count(s, h, 0.2) for h in range(3))
     assert (rep.n, rep.d, rep.eps, rep.eps0, rep.r) == (120, 2, 0.3, 0.2, 2)
+    assert rep.n_pairs_close == pairs.n_pairs_close and rep.min_distance == pairs.min_distance
     assert rep.qn_raw == qn and rep.q2_hat == q2
-    assert rep.h2_hat == estimate_h2(s, 0.3)
-    assert rep.u3_hat == tuple(estimate_u3(s, h, 0.2) for h in range(3))
-    assert rep.h3_hat == estimate_h3(s, 0.2)
-    assert rep.zeta_hat == pytest.approx(estimate_zeta(s, cfg), rel=1e-15)
-    assert rep.w_hat == pytest.approx(estimate_w(s, cfg), rel=1e-15)
-    assert rep.u_hat == pytest.approx(estimate_u(s, 0.3), rel=1e-15)
+    assert rep.h2_hat == -math.log(max(q2, 1 / 120))
+    assert rep.u3_hat == u3
+    assert rep.h3_hat == -0.5 * math.log(max(u3[0], 1 / 120))
     doc = rep.to_dict()
     assert doc["u3_hat"] == list(rep.u3_hat) and doc["n_pairs_close"] == rep.n_pairs_close
 

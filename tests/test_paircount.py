@@ -13,7 +13,6 @@ from epsentropy.paircount import (
     count_close_pairs,
     count_uh_triples,
     min_interpoint_distance,
-    neighbor_counts,
 )
 
 
@@ -21,6 +20,8 @@ from epsentropy.paircount import (
 # anchored at point 0 puts them two cells apart; the pair is then the only
 # witness of the lag-1 anchor (2, 3)
 _BOUNDARY_6 = [-10.557064909613523, -1.2570649096135238, -0.9570649096135239, 5.0, 5.0, 9.0]
+# the same points on the x axis of the plane, where the d >= 2 grid counts them
+_BOUNDARY_6_2D = [(x, 0.0) for x in _BOUNDARY_6]
 
 
 def _sample(seed, n, d, scale=1.0):
@@ -150,33 +151,6 @@ def test_min_distance_needs_two_points():
 
 
 # ---------------------------------------------------------------------------
-# neighbor counts
-# ---------------------------------------------------------------------------
-
-def test_neighbor_counts_hand_case():
-    s = SeriesSample([[0.0], [0.1], [0.2], [5.0]])
-    nc = neighbor_counts(s, 0.15)
-    assert nc.counts.tolist() == [1, 2, 1, 0]
-    assert nc.counts.sum() == 2 * count_close_pairs(s, 0.15).n_pairs_close
-
-
-def test_neighbor_counts_exclusion_removes_neighbor_role_only():
-    s = SeriesSample([[0.0], [0.1], [0.2], [5.0]])
-    nc = neighbor_counts(s, 0.15, excluded=(1,))
-    # index 1 loses its role as a neighbor of 0 and 2, but keeps its own count
-    assert nc.counts.tolist() == [0, 2, 0, 0]
-    assert nc.excluded == (1,)
-
-
-def test_neighbor_counts_validation():
-    s = SeriesSample([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        neighbor_counts(s, 0.5, excluded=(2,))
-    with pytest.raises(ValueError):
-        neighbor_counts(s, 0.5, excluded=(0, 0))
-
-
-# ---------------------------------------------------------------------------
 # lagged triple counts
 # ---------------------------------------------------------------------------
 
@@ -265,3 +239,52 @@ def test_rank_windows_match_brute(case):
     assert pairs == brute_close_pairs(col, eps)
     for h in range(min(4, s.n - 3)):
         assert count_uh_triples(s, h, eps) == brute_uh_count(col, h, eps)
+
+
+# ---------------------------------------------------------------------------
+# d >= 2 grid against brute force on hostile inputs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _hostile_nd(draw):
+    """(points, eps) in d = 2, 3: lattice columns in a range narrow enough for
+    the grid, ulp nudges, duplicate rows, far offsets, wide eps."""
+    d = draw(st.sampled_from([2, 3]))
+    eps = draw(st.sampled_from([2.0**-3, 0.25, 1.0, 4.0, 0.1, 0.3, 1.0 / 3.0, 0.7]))
+    n = draw(st.integers(7, 12))
+    # at most 7^2 or 4^3 cells, inside the grid's budget of 16 n cells
+    k_lo, k_hi = (-3, 3) if d == 2 else (-1, 2)
+    ks = draw(st.lists(st.integers(k_lo, k_hi), min_size=n * d, max_size=n * d))
+    pts = np.array(ks, dtype=np.float64).reshape(n, d) * eps
+    for c in range(d):
+        pts[:, c] += draw(st.sampled_from([0.0, 0.1, -10.557064909613523]))
+        pts[:, c] += draw(st.sampled_from([0.0, 1e9, -1e9]))
+    nudges = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
+    flat = pts.reshape(-1)
+    for t, k in enumerate(nudges):
+        for _ in range(abs(k)):
+            flat[t] = np.nextafter(flat[t], math.copysign(math.inf, k))
+    if draw(st.booleans()):
+        pts[draw(st.integers(0, n - 1))] = pts[0]
+    if draw(st.booleans()):
+        eps = 2.0 * float((pts.max(axis=0) - pts.min(axis=0)).max()) + eps
+    return pts, eps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_hostile_nd())
+@example((np.array(_BOUNDARY_6_2D[:3]), 0.3))
+@example((np.array(_BOUNDARY_6_2D), 0.3))
+def test_grid_matches_brute(case):
+    pts, eps = case
+    s = SeriesSample(pts)
+    res = count_close_pairs(s, eps)
+    assert res.n_pairs_close == brute_pair_count(pts, eps)
+    assert res.min_distance == brute_min_distance(pts)
+    i_arr, j_arr = close_pairs(s, eps)
+    assert np.all(i_arr < j_arr)
+    pairs = set(zip(i_arr.tolist(), j_arr.tolist()))
+    assert len(pairs) == i_arr.size
+    assert pairs == brute_close_pairs(pts, eps)
+    for h in range(min(4, s.n - 3)):
+        assert count_uh_triples(s, h, eps) == brute_uh_count(pts, h, eps)
