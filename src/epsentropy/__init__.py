@@ -6,8 +6,8 @@ the lagged-coincidence corrections that dependence requires.  See the module
 docstrings for the division of labor:
 
 * ``core``        shared sample type, ball volumes, normal quantile, RNG streams
-* ``paircount``   exact close-pair / lagged-triple counting (1-D rank windows,
-                  grid or scan for d >= 2)
+* ``paircount``   exact close-pair / lagged-triple counting (rank windows on
+                  the first coordinate, filtered in blocks for d >= 2)
 * ``estimators``  point estimates, variance plug-ins, pivotal residuals
 * ``asymptotics`` confidence intervals and the Poisson/window approximations
 * ``processes``   reference m-dependent generators with known truths

@@ -2,27 +2,30 @@
 
 Counting is exact and boundary-inclusive: a pair at distance exactly eps
 counts.  All comparisons run on squared distances against eps*eps, never on
-square roots.  The backend follows from the dimension of the sample:
+square roots.  Every path starts from one sort on the first
+coordinate, which gives for every point the window of sorted positions
+within eps on that coordinate, found by bisection on the exact squared test
+(rank windows):
 
-* d = 1: rank windows.  One stable sort gives, for every point, the window
-  of sorted positions within eps, found by bisection on the exact squared
-  test.  Pair counts, pairs, the minimum distance and the lagged triples
-  all come from these windows in O(n log n) time and O(n) memory, exact by
-  construction.
-* d >= 2: a uniform grid with cell side eps (widened by a proven rounding
-  margin), scanning same-and-adjacent cells only, when it is safe and
-  profitable (low dimension, bounded bounding-box cell count); otherwise a
-  blockwise O(n^2) scan.  Lagged triples go through per-index neighbour
-  bitmasks.
+* d = 1: the windows are the answer.  Pair counts, the minimum distance and
+  the lagged triples come from them in O(n log n) time and O(n) memory,
+  exact by construction.
+* d >= 2: the windows hold every pair within eps, because a rounded sum of
+  nonnegative squares is never below its first term.  The full squared
+  distances of the window pairs, added column by column from the left, are
+  filtered in blocks of bounded size, so memory stays O(n d) however many
+  pairs are close.  Lagged triples go through per-index neighbour bitmasks.
+
+close_pairs takes the block path for every d.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SeriesSample
 
@@ -34,9 +37,7 @@ __all__ = [
     "min_interpoint_distance",
 ]
 
-GRID_DIM_LIMIT = 12
-GRID_CELL_BUDGET_FACTOR = 16
-_BRUTE_BLOCK = 512
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,129 +55,67 @@ class PairCountResult:
     eps: float
 
 
-def _grid_is_profitable(pts: np.ndarray, eps: float) -> bool:
-    n, d = pts.shape
-    if n < 2 or d > GRID_DIM_LIMIT:
-        return False
-    # neighbor enumeration is 3^d per occupied cell; past ~n offsets the
-    # O(n^2) scan wins regardless of occupancy
-    if 3**d > max(n, 729):
-        return False
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    cells = 1.0
-    for s in spans:
-        cells *= math.floor(s / eps) + 1.0
-        if cells > GRID_CELL_BUDGET_FACTOR * n:
-            return False
-    return True
+def _sq_sum(diffs) -> np.ndarray:
+    """Squared norms of coordinate differences, one array per column.
 
-
-def _cell_table(pts: np.ndarray, side: float) -> dict[tuple[int, ...], np.ndarray]:
-    # anchor the grid at the data minimum: cell indices then span only the
-    # bounding box, so far-from-origin coordinates cannot overflow the keys.
-    # The side is widened so rounding cannot key a close pair two cells apart.
-    # With u = 2^-53, a pair passing fl(sum fl(fl(a - b)^2)) <= fl(side*side)
-    # has every per-coordinate gap below side * (1 + (d+3)u/2 + O(u^2)), and
-    # (d+3)u/2 < 2^-40 for d <= GRID_DIM_LIMIT.  fl(x - low) and the division
-    # add at most about 4u * span to the gap of the scaled coordinates, which
-    # span * 2^-50 = 8u * span covers.  The scaled gap is then at most 1, so
-    # the keys of such a pair differ by at most 1 in every coordinate.
-    low = pts.min(axis=0)
-    span = float((pts.max(axis=0) - low).max())
-    side = side * (1.0 + 2.0**-40) + span * 2.0**-50
-    keys = np.floor((pts - low) / side).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    breaks = np.nonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))[0] + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [len(order)]))
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    for s, e in zip(starts, ends):
-        table[tuple(sorted_keys[s])] = order[s:e]
-    return table
-
-
-def _half_offsets(d: int) -> list[tuple[int, ...]]:
-    # lexicographically positive half of {-1,0,1}^d, so each unordered cell
-    # pair is visited once
-    out = []
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        if off > (0,) * d:
-            out.append(off)
-    return out
-
-
-def _grid_candidate_pairs(
-    pts: np.ndarray, side: float, table: dict | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, within same or adjacent cells of the grid.
-
-    Superset of all pairs at distance <= side; distances still need checking.
-    _cell_table widens the side so that the cell indices of such a pair
-    differ by at most one in every coordinate.
+    The squares are added column by column from the left, one fixed order
+    for every path, so an "exact" count never depends on a library's
+    summation order.
     """
-    if table is None:
-        table = _cell_table(pts, side)
-    offsets = _half_offsets(pts.shape[1])
-    ii: list[np.ndarray] = []
-    jj: list[np.ndarray] = []
-    for key, idx in table.items():
-        k = len(idx)
-        if k > 1:
-            a, b = np.triu_indices(k, 1)
-            ii.append(idx[a])
-            jj.append(idx[b])
-        for off in offsets:
-            other = table.get(tuple(key[t] + off[t] for t in range(len(off))))
-            if other is None:
-                continue
-            ii.append(np.repeat(idx, len(other)))
-            jj.append(np.tile(other, k))
-    if not ii:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    i_arr = np.concatenate(ii)
-    j_arr = np.concatenate(jj)
-    swap = i_arr > j_arr
-    i_arr[swap], j_arr[swap] = j_arr[swap], i_arr[swap].copy()
-    return i_arr, j_arr
+    total = None
+    for diff in diffs:
+        sq = diff * diff
+        total = sq if total is None else np.add(total, sq, out=total)
+    return total
 
 
-def _sq_dists(pts: np.ndarray, i_arr: np.ndarray, j_arr: np.ndarray) -> np.ndarray:
-    diff = pts[i_arr] - pts[j_arr]
-    return np.einsum("ij,ij->i", diff, diff)
+def _window_pairs(pts: np.ndarray, eps_sq: float):
+    """Squared distances of the column-0 rank-window pairs, in bounded blocks.
 
-
-def _brute_scan(pts: np.ndarray, eps_sq: float, collect: bool):
-    """Blockwise full scan: (count, min_sq, pairs or None)."""
+    Sorts once on column 0 (points order[p] in sorted position p) and yields
+    (order, start, sq, valid) per block of rows: sq[r, s] is the full squared
+    distance of sorted positions start+r and start+r+s+1, and valid[r, s]
+    says that the pair lies in the column-0 window.  Every pair within eps is
+    among the valid ones, with no margin: a rounded sum of nonnegative
+    floats is never below one of its terms, and the first term is the exact
+    1-D test of _rank_windows.  Each block holds at most _BLOCK entries,
+    unless one row's window alone is wider.
+    """
     n = pts.shape[0]
+    order = np.argsort(pts[:, 0], kind="stable")
+    cols = np.ascontiguousarray(pts[order].T)
+    _, hi = _rank_windows(cols[0], eps_sq)
+    width = hi - np.arange(1, n + 1)
+    w_max = int(width.max())
+    if w_max == 0:
+        return
+    # windows[c][p, s] = cols[c][p + s], zero past the end
+    pad = np.zeros(w_max)
+    windows = [sliding_window_view(np.concatenate((col, pad)), w_max + 1) for col in cols]
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK // max(1, int(width[start]))))
+        w = int(width[start:stop].max())
+        stop = min(stop, start + max(1, _BLOCK // max(1, w)))
+        w = int(width[start:stop].max())
+        if w:
+            sq = _sq_sum(
+                win[start:stop, 1 : w + 1] - col[start:stop, None] for col, win in zip(cols, windows)
+            )
+            valid = np.arange(1, w + 1) <= width[start:stop, None]
+            yield order, start, sq, valid
+        start = stop
+
+
+def _count_and_min_sq(pts: np.ndarray, eps_sq: float) -> tuple[int, float]:
+    """Pairs within eps, and the smallest squared distance among the
+    column-0 window pairs (the global minimum whenever it is <= eps_sq)."""
     count = 0
     min_sq = math.inf
-    pair_i: list[np.ndarray] = []
-    pair_j: list[np.ndarray] = []
-    for start in range(0, n - 1, _BRUTE_BLOCK):
-        stop = min(start + _BRUTE_BLOCK, n - 1)
-        block = pts[start:stop]  # rows i, paired against all j > i
-        diff = block[:, None, :] - pts[None, start + 1 :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(start, stop)
-        cols = np.arange(start + 1, n)
-        valid = cols[None, :] > rows[:, None]
-        sq_valid = sq[valid]
-        if sq_valid.size:
-            min_sq = min(min_sq, float(sq_valid.min()))
-        hit = valid & (sq <= eps_sq)
-        count += int(hit.sum())
-        if collect and hit.any():
-            r, c = np.nonzero(hit)
-            pair_i.append(rows[r])
-            pair_j.append(cols[c])
-    if collect:
-        if pair_i:
-            return count, min_sq, (np.concatenate(pair_i), np.concatenate(pair_j))
-        empty = np.empty(0, dtype=np.int64)
-        return count, min_sq, (empty, empty)
-    return count, min_sq, None
+    for _, _, sq, valid in _window_pairs(pts, eps_sq):
+        count += int(np.count_nonzero(valid & (sq <= eps_sq)))
+        min_sq = min(min_sq, float(sq[valid].min()))
+    return count, min_sq
 
 
 def _sorted_min_sq(v: np.ndarray) -> float:
@@ -189,38 +128,16 @@ def _min_sq_distance(pts: np.ndarray) -> float:
     """Exact squared minimum inter-point distance.
 
     In 1-D it is the smallest gap of the sorted values.  Otherwise
-    consecutive rows give a cheap upper bound u (they are actual pairs); the
-    minimal pair then lies in same-or-adjacent cells of a grid with side u,
-    so one candidate sweep at that side is exact.
+    consecutive rows give an upper bound u (they are actual pairs), and the
+    minimal pair is among the column-0 window pairs at radius u.
     """
     n, d = pts.shape
     if n < 2:
         raise ValueError("minimum distance needs at least two points")
     if d == 1:
         return _sorted_min_sq(np.sort(pts[:, 0]))
-    if n <= 256 or d > GRID_DIM_LIMIT or 3**d > max(n, 729):
-        _, min_sq, _ = _brute_scan(pts, -1.0, False)
-        return min_sq
-    cons = pts[1:] - pts[:-1]
-    u_sq = float(np.einsum("ij,ij->i", cons, cons).min())
-    if u_sq == 0.0:
-        return 0.0
-    side = math.sqrt(u_sq)
-    # bail out to the scan when the bound is so small that cell indices lose
-    # exactness (span/side beyond 2^52) or cells are overfull (clustered data
-    # with far-apart consecutive rows would make the sweep quadratic anyway)
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    if float(spans.max()) / side > 2.0**52:
-        _, min_sq, _ = _brute_scan(pts, -1.0, False)
-        return min_sq
-    table = _cell_table(pts, side)
-    if max(len(idx) for idx in table.values()) * n > 10_000_000:
-        _, min_sq, _ = _brute_scan(pts, -1.0, False)
-        return min_sq
-    i_arr, j_arr = _grid_candidate_pairs(pts, side, table)
-    if i_arr.size == 0:
-        return u_sq
-    return min(u_sq, float(_sq_dists(pts, i_arr, j_arr).min()))
+    u_sq = float(_sq_sum((pts[1:] - pts[:-1]).T).min())
+    return _count_and_min_sq(pts, u_sq)[1]
 
 
 def _rank_windows(v: np.ndarray, eps_sq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,20 +199,10 @@ def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
         lo, _ = _rank_windows(v, eps_sq)
         count = int((np.arange(n) - lo).sum())
         min_sq = _sorted_min_sq(v)
-    elif _grid_is_profitable(pts, eps):
-        i_arr, j_arr = _grid_candidate_pairs(pts, eps)
-        if i_arr.size:
-            sq = _sq_dists(pts, i_arr, j_arr)
-            count = int((sq <= eps_sq).sum())
-            cand_min = float(sq.min())
-        else:
-            count = 0
-            cand_min = math.inf
-        # candidate minimum is the global minimum only if it is <= eps;
-        # otherwise the closest pair may sit in non-adjacent cells
-        min_sq = cand_min if cand_min <= eps_sq else _min_sq_distance(pts)
     else:
-        count, min_sq, _ = _brute_scan(pts, eps_sq, False)
+        count, min_sq = _count_and_min_sq(pts, eps_sq)
+        if min_sq > eps_sq:
+            min_sq = _min_sq_distance(pts)
     return PairCountResult(n_pairs_close=count, min_distance=math.sqrt(min_sq), n=n, eps=eps)
 
 
@@ -306,23 +213,14 @@ def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarra
     if sample.n < 2:
         raise ValueError("pair counting needs at least two observations")
     eps_sq = eps * eps
-    if sample.d == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
-        _, hi = _rank_windows(pts[order, 0], eps_sq)
-        # sorted position p pairs with every q in (p, hi[p])
-        width = hi - np.arange(1, sample.n + 1)
-        p = np.repeat(np.arange(sample.n), width)
-        q = p + 1 + np.arange(p.shape[0]) - np.repeat(np.cumsum(width) - width, width)
-        i_arr, j_arr = order[p], order[q]
-        return np.minimum(i_arr, j_arr), np.maximum(i_arr, j_arr)
-    if _grid_is_profitable(pts, eps):
-        i_arr, j_arr = _grid_candidate_pairs(pts, eps)
-        if i_arr.size == 0:
-            return i_arr, j_arr
-        keep = _sq_dists(pts, i_arr, j_arr) <= eps_sq
-        return i_arr[keep], j_arr[keep]
-    _, _, pairs = _brute_scan(pts, eps_sq, True)
-    return pairs
+    i_parts = [np.empty(0, dtype=np.int64)]
+    j_parts = [np.empty(0, dtype=np.int64)]
+    for order, start, sq, valid in _window_pairs(pts, eps_sq):
+        r, s = np.nonzero(valid & (sq <= eps_sq))
+        i_arr, j_arr = order[start + r], order[start + r + s + 1]
+        i_parts.append(np.minimum(i_arr, j_arr))
+        j_parts.append(np.maximum(i_arr, j_arr))
+    return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
 def _adjacency_masks(n: int, i_arr: np.ndarray, j_arr: np.ndarray) -> list[int]:

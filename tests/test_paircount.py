@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import brute_close_pairs, brute_min_distance, brute_pair_count, brute_uh_count
 
+from epsentropy import paircount
 from epsentropy.core import RngStream, SeriesSample
 from epsentropy.estimators import triple_normalizer
 from epsentropy.paircount import (
@@ -16,12 +18,20 @@ from epsentropy.paircount import (
 )
 
 
-# points 1 and 2 are exactly eps = 0.3 apart in floating point, and a grid
-# anchored at point 0 puts them two cells apart; the pair is then the only
-# witness of the lag-1 anchor (2, 3)
+# points 1 and 2 are exactly eps = 0.3 apart in floating point, but an
+# eps-side grid keyed by floor((x - x_min) / eps) puts them two cells apart;
+# the pair is then the only witness of the lag-1 anchor (2, 3)
 _BOUNDARY_6 = [-10.557064909613523, -1.2570649096135238, -0.9570649096135239, 5.0, 5.0, 9.0]
-# the same points on the x axis of the plane, where the d >= 2 grid counts them
+# the same points on the x axis of the plane, where the d >= 2 path counts them
 _BOUNDARY_6_2D = [(x, 0.0) for x in _BOUNDARY_6]
+# a d = 4 sample whose minimum distance moves by one ulp when the squares are
+# not added left to right
+_ULP_4D = [
+    [0.7666666666666664, 0.43333333333333324, 0.10000000000000002, -0.6666666666666669],
+    [1.1000000000000005, 1.0999999999999999, 0.7666666666666665, -0.33333333333333337],
+    [0.7666666666666666, 0.4333333333333333, -0.5666666666666667, 0.6666666666666665],
+    [-0.5666666666666665, 0.43333333333333346, -0.5666666666666669, -1.0000000000000004],
+]
 
 
 def _sample(seed, n, d, scale=1.0):
@@ -44,7 +54,7 @@ def test_count_matches_brute(d, n):
 
 
 def test_count_high_dim_scan_path():
-    # d > grid limit exercises the blockwise scan exclusively
+    # d = 15: fourteen coordinates only filter the column-0 windows
     s = _sample(7, 80, 15)
     assert count_close_pairs(s, 4.0).n_pairs_close == brute_pair_count(s.points, 4.0)
 
@@ -63,6 +73,22 @@ def test_close_pairs_sets_match_brute():
     got = set(zip(i_arr.tolist(), j_arr.tolist()))
     assert got == brute_close_pairs(s.points, 0.4)
     assert np.all(i_arr < j_arr)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_small_blocks_match_brute(monkeypatch, block):
+    # blocks of a few window entries split rows and windows at every offset
+    monkeypatch.setattr(paircount, "_BLOCK", block)
+    for d in (1, 2, 3):
+        s = _sample(40 + d, 60, d)
+        res = count_close_pairs(s, 0.8)
+        assert res.n_pairs_close == brute_pair_count(s.points, 0.8)
+        assert res.min_distance == brute_min_distance(s.points)
+        assert min_interpoint_distance(s) == brute_min_distance(s.points)
+        i_arr, j_arr = close_pairs(s, 0.8)
+        pairs = set(zip(i_arr.tolist(), j_arr.tolist()))
+        assert len(pairs) == i_arr.size
+        assert pairs == brute_close_pairs(s.points, 0.8)
 
 
 def test_boundary_is_inclusive():
@@ -93,7 +119,8 @@ def test_count_invariances():
 
 
 def test_count_far_from_origin():
-    # grid keys anchor at the data minimum, so huge offsets must not matter
+    # only coordinate differences enter the test, so a huge common offset
+    # must not matter
     s = _sample(33, 300, 2)
     eps = 0.25
     base = count_close_pairs(s, eps).n_pairs_close
@@ -130,12 +157,42 @@ def test_min_distance_matches_brute(n, d):
 
 
 def test_min_distance_grid_path_with_tiny_gap():
-    # one near-duplicate pair forces a very fine sweep side on the grid path
+    # one near-duplicate pair makes the minimum-distance sweep radius tiny
     gen = RngStream(44, 0).generator()
     pts = gen.random((600, 2))
     pts[417] = pts[93] + 1e-9
     s = SeriesSample(pts)
     assert min_interpoint_distance(s) == pytest.approx(brute_min_distance(pts), rel=0, abs=0)
+
+
+def test_min_distance_sums_columns_left_to_right():
+    # the squares of v sum to 0.2699999995948747 in einsum's order and to
+    # 0.26999999959487464 left to right, as the brute helpers add them
+    v = [0.2999999994644895, -0.30000000016298145, 0.29999999969732016]
+    pts = np.array([[0.0, 0.0, 0.0], v, [5.0, 5.0, 5.0], [9.0, 0.0, 0.0]])
+    s = SeriesSample(pts)
+    assert brute_min_distance(pts) == 0.5196152418808311
+    assert count_close_pairs(s, 0.52).min_distance == brute_min_distance(pts)
+    assert min_interpoint_distance(s) == brute_min_distance(pts)
+
+
+def test_peak_memory_is_bounded():
+    # every pair of the 2-D sample is within eps, and the 8-D minimum needs
+    # a wide sweep; neither may hold the candidate pairs all at once
+    wide = _sample(71, 3000, 2)
+    high = _sample(72, 1500, 8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert count_close_pairs(wide, 100.0).n_pairs_close == 3000 * 2999 // 2
+        count_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        min_interpoint_distance(high)
+        min_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count_peak < 32 * 2**20
+    assert min_peak < 32 * 2**20
 
 
 def test_min_distance_reported_even_without_close_pairs():
@@ -242,20 +299,27 @@ def test_rank_windows_match_brute(case):
 
 
 # ---------------------------------------------------------------------------
-# d >= 2 grid against brute force on hostile inputs
+# d >= 2 window engine against brute force on hostile inputs
 # ---------------------------------------------------------------------------
 
 @st.composite
 def _hostile_nd(draw):
-    """(points, eps) in d = 2, 3: lattice columns in a range narrow enough for
-    the grid, ulp nudges, duplicate rows, far offsets, wide eps."""
-    d = draw(st.sampled_from([2, 3]))
+    """(points, eps) in d = 2, 3, 4, 7: lattice columns of narrow or wide
+    range, column 0 sometimes Cauchy-spread, ulp nudges, duplicate rows, far
+    offsets, wide eps.
+
+    d stops at 7: np.sum in tests/helpers.py adds up to 7 squares left to
+    right, as the package does, but from 8 terms on it adds pairwise, so a
+    boundary pair could differ by one ulp between the two.
+    """
+    d = draw(st.sampled_from([2, 3, 4, 7]))
     eps = draw(st.sampled_from([2.0**-3, 0.25, 1.0, 4.0, 0.1, 0.3, 1.0 / 3.0, 0.7]))
     n = draw(st.integers(7, 12))
-    # at most 7^2 or 4^3 cells, inside the grid's budget of 16 n cells
-    k_lo, k_hi = (-3, 3) if d == 2 else (-1, 2)
-    ks = draw(st.lists(st.integers(k_lo, k_hi), min_size=n * d, max_size=n * d))
+    k_max = draw(st.sampled_from([1, 3, 10, 40]))
+    ks = draw(st.lists(st.integers(-k_max, k_max), min_size=n * d, max_size=n * d))
     pts = np.array(ks, dtype=np.float64).reshape(n, d) * eps
+    if draw(st.booleans()):
+        pts[:, 0] = np.tan(pts[:, 0])
     for c in range(d):
         pts[:, c] += draw(st.sampled_from([0.0, 0.1, -10.557064909613523]))
         pts[:, c] += draw(st.sampled_from([0.0, 1e9, -1e9]))
@@ -275,6 +339,7 @@ def _hostile_nd(draw):
 @given(_hostile_nd())
 @example((np.array(_BOUNDARY_6_2D[:3]), 0.3))
 @example((np.array(_BOUNDARY_6_2D), 0.3))
+@example((np.array(_ULP_4D), 1.0 / 3.0))
 def test_grid_matches_brute(case):
     pts, eps = case
     s = SeriesSample(pts)
