@@ -327,14 +327,6 @@ def worker_count(n_tasks: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: str):
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    return rows
-
-
 def _is_number(tok: str) -> bool:
     try:
         float(tok)
@@ -343,27 +335,88 @@ def _is_number(tok: str) -> bool:
         return False
 
 
+def _ascii_number(tok: str, parse):
+    """parse(tok) for parse in (float, int), on what numpy's C reader also
+    accepts: ASCII text without digit-group underscores."""
+    text = tok.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to {parse.__name__}: {tok!r}")
+    return parse(text)
+
+
+def _check_sample_row(path: str, i: int, row: list[str]) -> None:
+    for tok in row:
+        try:
+            _ascii_number(tok, float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric value in row {i}: {exc}") from None
+
+
+def _check_symbol_row(path: str, i: int, row: list[str]) -> None:
+    for j, tok in enumerate(row, start=1):
+        where = f"{path}: row {i} column {j}: {tok!r}"
+        try:
+            value = _ascii_number(tok, int)
+        except ValueError:
+            raise ValueError(f"{where} is not an integer symbol") from None
+        if not -(2**63) <= value < 2**63:
+            raise ValueError(f"{where} is outside the int64 range")
+
+
+def _read_table(path: str, dtype, check_row) -> np.ndarray:
+    """Parse a numeric CSV into an (n, d) array of dtype.
+
+    The first non-blank row is a header when any cell fails float().  That
+    test is more lenient than the C reader, so a first row like `1_000` is
+    reported as a bad row, never dropped as a header.  Blank lines are
+    skipped, cells may be "-quoted, and a UTF-8 byte-order mark is
+    dropped.  The rows after the header go through numpy's C reader in one
+    pass.  Only when it refuses them does a csv pass find the first bad row
+    (numbered from 1 after the header, blank lines not counted), which
+    check_row(path, i, row) reports.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next((row for row in reader if row), None)
+        if first is None:
+            raise ValueError(f"{path}: empty CSV")
+        header = not all(_is_number(tok) for tok in first)
+        skip = reader.line_num if header else 0
+        if header and next((row for row in reader if row), None) is None:
+            raise ValueError(f"{path}: header only, no data rows")
+    try:
+        return np.loadtxt(
+            path,
+            dtype=dtype,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            skiprows=skip,
+            ndmin=2,
+            encoding="utf-8-sig",
+        )
+    except (ValueError, OverflowError) as exc:
+        reason = str(exc)
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        if header:
+            next(rows)
+        width = None
+        for i, row in enumerate(rows, start=1):
+            width = len(row) if width is None else width
+            if len(row) != width:
+                raise ValueError(f"{path}: ragged row {i} (expected {width} columns, got {len(row)})")
+            check_row(path, i, row)
+    raise ValueError(f"{path}: {reason}")
+
+
 def read_sample_csv(path: str) -> SeriesSample:
     """Load a sample from CSV: one row per time index, d numeric columns.
 
     A single leading header row is tolerated (detected by non-numeric cells);
-    ragged rows are rejected.
+    ragged rows, non-numeric and non-finite cells are rejected.
     """
-    rows = _read_rows(path)
-    if not all(_is_number(tok) for tok in rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header only, no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: ragged row {i + 1} (expected {width} columns, got {len(row)})")
-        try:
-            data[i] = [float(tok) for tok in row]
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric value in row {i + 1}: {exc}") from None
-    return SeriesSample(data)
+    return SeriesSample(_read_table(path, np.float64, _check_sample_row))
 
 
 def write_sample_csv(sample: SeriesSample, path: str, header: list[str] | None = None) -> None:
@@ -383,25 +436,9 @@ def read_symbol_csv(path: str) -> np.ndarray:
 
     Floating-point observations must be quantized by the caller before they
     enter the discrete path, since silent rounding would corrupt tie counts.
+    Same CSV grammar as read_sample_csv.
     """
-    rows = _read_rows(path)
-    if not all(_is_number(tok) for tok in rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header only, no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: ragged row {i + 1} (expected {width} columns, got {len(row)})")
-        for j, tok in enumerate(row):
-            try:
-                data[i, j] = int(tok)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {i + 1} column {j + 1}: {tok!r} is not an integer symbol"
-                ) from None
-    return data
+    return _read_table(path, np.int64, _check_symbol_row)
 
 
 def write_symbol_csv(symbols: np.ndarray, path: str) -> None:

@@ -127,16 +127,18 @@ def _sorted_min_sq(v: np.ndarray) -> float:
 def _min_sq_distance(pts: np.ndarray) -> float:
     """Exact squared minimum inter-point distance.
 
-    In 1-D it is the smallest gap of the sorted values.  Otherwise
-    consecutive rows give an upper bound u (they are actual pairs), and the
-    minimal pair is among the column-0 window pairs at radius u.
+    In 1-D it is the smallest gap of the sorted values.  Otherwise rows
+    adjacent in the column-0 sort give an upper bound u (they are actual
+    pairs, and close in column 0 whatever the input order), and the minimal
+    pair is among the column-0 window pairs at radius u.
     """
     n, d = pts.shape
     if n < 2:
         raise ValueError("minimum distance needs at least two points")
     if d == 1:
         return _sorted_min_sq(np.sort(pts[:, 0]))
-    u_sq = float(_sq_sum((pts[1:] - pts[:-1]).T).min())
+    by_col0 = pts[np.argsort(pts[:, 0], kind="stable")]
+    u_sq = float(_sq_sum((by_col0[1:] - by_col0[:-1]).T).min())
     return _count_and_min_sq(pts, u_sq)[1]
 
 

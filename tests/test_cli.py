@@ -306,6 +306,25 @@ def test_missing_input_file_is_a_clean_failure(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oversized_symbol_is_a_clean_failure(tmp_path, capsys):
+    path = tmp_path / "symbols.csv"
+    path.write_text("1\n2\n99999999999999999999\n")
+    assert cli.main(["discrete", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "row 3 column 1" in err
+
+
+@pytest.mark.parametrize("subcommand", ["estimate", "gof"])
+def test_malformed_sample_is_a_clean_failure(tmp_path, capsys, subcommand):
+    path = tmp_path / "sample.csv"
+    path.write_text("x\n1.5\n2.5\n3,5\n")
+    assert cli.main([subcommand, "--input", str(path), "--eps", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ragged row 3" in err
+
+
 def test_argparse_failures_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", "--eps", "0.1"])  # --input missing

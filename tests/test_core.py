@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epsentropy.core import (
     MAX_DIM,
@@ -259,8 +263,98 @@ def test_sample_csv_header(tmp_path):
 def test_sample_csv_rejects(tmp_path, text, msg):
     path = tmp_path / "bad.csv"
     path.write_text(text)
+    with pytest.raises(ValueError, match=msg) as info:
+        read_sample_csv(str(path))
+    if msg in ("ragged", "non-numeric"):
+        assert " row 2" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text,msg",
+    [
+        # rows count from 1 after the header; blank lines do not count
+        ("x,y\n\n1,2\n\n3,4\n5\n", r"ragged row 3 \(expected 2 columns, got 1\)"),
+        ("x,y\n1,2\n\n3,z\n", "non-numeric value in row 2: could not convert string to float: 'z'"),
+        ("1,2\n3,4#5\n", "non-numeric value in row 2: .*'4#5'"),
+        ("1\n1_000\n", "non-numeric value in row 2: .*'1_000'"),
+        # a first row the C reader refuses is a bad row, not a header
+        ("1_000\n2\n", "non-numeric value in row 1: .*'1_000'"),
+        ("1\n\u0661\n", "non-numeric value in row 2"),
+        ("\ufeff\n\n", "empty CSV"),
+        ("x,y\n\n", "header only"),
+    ],
+)
+def test_sample_csv_error_names_the_row(tmp_path, text, msg):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=msg):
         read_sample_csv(str(path))
+
+
+@pytest.mark.parametrize("text", ["", "x,y\n"])
+def test_sample_csv_errors_raise_no_warning(tmp_path, text, recwarn):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_sample_csv(str(path))
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_sample_csv_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0\n{cell}\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        read_sample_csv(str(path))
+
+
+@pytest.mark.parametrize("header", ["", "x\n"])
+def test_sample_csv_byte_order_mark(tmp_path, header):
+    # a BOM must not turn the first data row into a header
+    path = tmp_path / "bom.csv"
+    path.write_text(header + "1.5\n2.5\n3.5\n4.5\n5.5\n", encoding="utf-8-sig")
+    assert read_sample_csv(str(path)).points[:, 0].tolist() == [1.5, 2.5, 3.5, 4.5, 5.5]
+
+
+def test_sample_csv_crlf_blank_lines_and_quotes(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b'\r\n"1.5",2\r\n3,"-4e-3"\r\n\r\n5,6\r\n\r\n\r\n')
+    assert read_sample_csv(str(path)).points.tolist() == [[1.5, 2.0], [3.0, -4e-3], [5.0, 6.0]]
+
+
+def test_sample_csv_header_with_quoted_comma(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text('"x, metres",y\n1,2\n3,4\n')
+    assert read_sample_csv(str(path)).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_FINITE))
+def test_sample_csv_round_trip_is_bit_exact(tmp_path_factory, pts):
+    path = tmp_path_factory.mktemp("rt") / "s.csv"
+    for fmt in (repr, lambda v: "%.17g" % v):
+        path.write_text("".join(",".join(fmt(float(v)) for v in row) + "\n" for row in pts))
+        back = read_sample_csv(str(path)).points
+        assert back.shape == pts.shape
+        assert np.array_equal(back.view(np.uint64), pts.view(np.uint64))
+
+
+def test_sample_csv_memory_is_bounded(tmp_path):
+    # 200k x 3 doubles are 4.6 MiB; the reader must not hold the file as str
+    pts = RngStream(9, 0).generator().normal(size=(200_000, 3))
+    path = tmp_path / "big.csv"
+    np.savetxt(path, pts, fmt="%.17g", delimiter=",")
+    tracemalloc.start()
+    try:
+        back = read_sample_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.points, pts)
+    assert peak < 16 * 2**20
 
 
 def test_symbol_csv_roundtrip(tmp_path):
@@ -284,3 +378,29 @@ def test_symbol_csv_header_tolerated(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("sym\n1\n2\n")
     assert np.array_equal(read_symbol_csv(str(path)), np.array([[1], [2]]))
+
+
+@pytest.mark.parametrize(
+    "text,msg",
+    [
+        ("1,2\n3\n", "ragged row 2"),
+        ("s\n1\n2\nx\n", "row 3 column 1: 'x' is not an integer symbol"),
+        ("1\n1_0\n", "row 2 column 1: '1_0' is not an integer symbol"),
+        ("1\nnan\n", "row 2 column 1: 'nan' is not an integer symbol"),
+        ("1,99999999999999999999\n", "row 1 column 2: .* is outside the int64 range"),
+        ("-9223372036854775809\n", "outside the int64 range"),
+    ],
+)
+def test_symbol_csv_errors(tmp_path, text, msg):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=msg):
+        read_symbol_csv(str(path))
+
+
+def test_symbol_csv_shares_the_grammar(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes('\ufeffa,"b, c"\r\n1,"-2"\r\n\r\n-9223372036854775808,4\r\n\r\n'.encode())
+    back = read_symbol_csv(str(path))
+    assert back.dtype == np.int64
+    assert back.tolist() == [[1, -2], [-(2**63), 4]]

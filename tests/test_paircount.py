@@ -176,6 +176,21 @@ def test_min_distance_sums_columns_left_to_right():
     assert min_interpoint_distance(s) == brute_min_distance(pts)
 
 
+def test_min_distance_alternating_clusters(monkeypatch):
+    # consecutive input rows sit in different clusters 14 apart; the sweep
+    # radius must come from neighbours in the column-0 sort, or the sweep
+    # visits nearly every pair
+    pts = RngStream(73, 0).generator().normal(scale=0.01, size=(400, 2))
+    pts[1::2, 0] += 14.0
+    radii = []
+    sweep = paircount._count_and_min_sq
+    monkeypatch.setattr(
+        paircount, "_count_and_min_sq", lambda p, eps_sq: radii.append(eps_sq) or sweep(p, eps_sq)
+    )
+    assert min_interpoint_distance(SeriesSample(pts)) == brute_min_distance(pts)
+    assert radii and max(radii) < 0.1**2
+
+
 def test_peak_memory_is_bounded():
     # every pair of the 2-D sample is within eps, and the 8-D minimum needs
     # a wide sweep; neither may hold the candidate pairs all at once
