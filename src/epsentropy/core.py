@@ -416,7 +416,11 @@ def read_sample_csv(path: str) -> SeriesSample:
     A single leading header row is tolerated (detected by non-numeric cells);
     ragged rows, non-numeric and non-finite cells are rejected.
     """
-    return SeriesSample(_read_table(path, np.float64, _check_sample_row))
+    pts = _read_table(path, np.float64, _check_sample_row)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in row {bad[0] + 1}")
+    return SeriesSample(pts)
 
 
 def write_sample_csv(sample: SeriesSample, path: str, header: list[str] | None = None) -> None:

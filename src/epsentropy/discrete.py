@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _zeta_from, triple_normalizer
+from .paircount import _lagged_triples
 
 __all__ = [
     "DiscreteSample",
@@ -82,18 +83,12 @@ class DiscreteReport:
 
 def _u3_count(codes: np.ndarray, freq: np.ndarray, n: int, h: int) -> int:
     """Triples (i, j, k) with X_j = X_i and X_k = X_{i+h}, j != k, both
-    outside {i, i+h}; factorized per anchor i from whole-sample frequencies.
+    outside {i, i+h}: in the tie graph deg_i = freq_i - 1, and anchors that
+    tie share the freq_i - 2 other indices of their symbol.
     """
-    if h == 0:
-        f = freq[: n - 1].astype(np.int64)
-        return int(np.sum((f - 1) * (f - 2)))
-    fi = freq[: n - h - 1].astype(np.int64)
-    fh = freq[h : n - 1].astype(np.int64)
-    eq = (codes[: n - h - 1] == codes[h : n - 1]).astype(np.int64)
-    a = fi - 1 - eq
-    b = fh - 1 - eq
-    overlap = eq * (fi - 2)  # j = k collisions need X_l = X_i = X_{i+h}
-    return int(np.sum(a * b - overlap))
+    m = n - h - 1
+    eq = (codes[:m] == codes[h : h + m]).astype(np.int64)
+    return _lagged_triples(freq - 1, h, eq, int(np.sum(eq * (freq[:m] - 2))))
 
 
 def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:

@@ -141,13 +141,10 @@ def _u3_all(sample: SeriesSample, eps0: float, r: int) -> tuple[float, ...]:
     b2 = ball_volume(sample.d, eps0) ** 2
     if sample.d == 1:
         counts = _uh_counts_1d(sample, eps0, range(r + 1))
-        return tuple(c / (triple_normalizer(sample.n, h) * b2) for h, c in enumerate(counts))
-    i_arr, j_arr = close_pairs(sample, eps0)
-    masks = _adjacency_masks(sample.n, i_arr, j_arr)
-    return tuple(
-        _uh_count_from_masks(masks, sample.n, h) / (triple_normalizer(sample.n, h) * b2)
-        for h in range(r + 1)
-    )
+    else:
+        adjacency = _adjacency_masks(sample.n, *close_pairs(sample, eps0))
+        counts = [_uh_count_from_masks(adjacency, sample.n, h) for h in range(r + 1)]
+    return tuple(c / (triple_normalizer(sample.n, h) * b2) for h, c in enumerate(counts))
 
 
 def _zeta_from(q2_hat: float, u3: tuple[float, ...]) -> float:

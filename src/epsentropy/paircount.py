@@ -14,7 +14,9 @@ within eps on that coordinate, found by bisection on the exact squared test
   nonnegative squares is never below its first term.  The full squared
   distances of the window pairs, added column by column from the left, are
   filtered in blocks of bounded size, so memory stays O(n d) however many
-  pairs are close.  Lagged triples go through per-index neighbour bitmasks.
+  pairs are close.  Lagged triples come from sorted directed edge keys.
+
+Every triple counter, discrete ties included, ends in _lagged_triples.
 
 close_pairs takes the block path for every d.
 """
@@ -183,6 +185,21 @@ def _exact_sum(terms: np.ndarray, bound: int) -> int:
     return sum(int(terms[s : s + step].sum()) for s in range(0, terms.shape[0], step))
 
 
+def _lagged_triples(deg: np.ndarray, h: int, adj: np.ndarray | None, overlap: int) -> int:
+    """Triples (i, j, k), i <= n-h-2, j in N(i), k in N(i+h), j != k, both
+    outside {i, i+h}: sum_i (deg_i - adj_i)(deg_{i+h} - adj_i) - overlap.
+
+    deg_i = |N(i)| over all n indices, adj_i = [i+h in N(i)] for the anchors
+    and overlap = sum_i |N(i) & N(i+h)|.  At lag 0 the two anchors coincide
+    and the count is sum_i deg_i (deg_i - 1); adj and overlap are not read.
+    """
+    n = deg.shape[0]
+    m = n - h - 1
+    if h == 0:
+        return _exact_sum(deg[:m] * (deg[:m] - 1), n * n)
+    return _exact_sum((deg[:m] - adj) * (deg[h : h + m] - adj), n * n) - overlap
+
+
 def min_interpoint_distance(sample: SeriesSample) -> float:
     """Exact minimum pairwise distance Y_n = min_{i<j} d(X_i, X_j)."""
     return math.sqrt(_min_sq_distance(sample.points))
@@ -225,36 +242,34 @@ def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
-def _adjacency_masks(n: int, i_arr: np.ndarray, j_arr: np.ndarray) -> list[int]:
-    """Neighbor sets as per-index bitmasks (bit j of masks[i] == j in N(i))."""
-    masks = [0] * n
-    for a, b in zip(i_arr.tolist(), j_arr.tolist()):
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return masks
-
-
-def _uh_count_from_masks(masks: list[int], n: int, h: int) -> int:
-    """Lagged coincidence-triple count from adjacency masks; exact integers.
-
-    Counts triples (i, j, k) with 0 <= i <= n-h-2, j, k not in {i, i+h},
-    j != k, d(X_i, X_j) <= eps0 and d(X_{i+h}, X_k) <= eps0, factorized as
-    sum_i [a_i * b_i - overlap_i].
+def _adjacency_masks(n: int, i_arr: np.ndarray, j_arr: np.ndarray):
+    """Sorted directed edge keys row*n + col of the pairs (both directions),
+    and the degrees.  The name predates this form (per-index bitmasks).
     """
-    total = 0
+    keys = np.sort(np.concatenate((i_arr * n + j_arr, j_arr * n + i_arr)))
+    deg = np.bincount(i_arr, minlength=n) + np.bincount(j_arr, minlength=n)
+    return keys, deg
+
+
+def _uh_count_from_masks(adjacency: tuple[np.ndarray, np.ndarray], n: int, h: int) -> int:
+    """Lagged-triple count at lag h from _adjacency_masks; exact integers.
+
+    adj_i is [(i, i+h) is an edge].  As c in N(i) iff i in N(c), the overlap
+    sum_{i <= n-h-2} |N(i) & N(i+h)| counts the column pairs (i, i+h) inside
+    each sorted row, h or fewer slots apart; a key difference of h across
+    rows needs a column >= n-h, which the filter drops.  The name predates
+    this form (per-index bitmasks).
+    """
+    keys, deg = adjacency
     if h == 0:
-        for i in range(n - 1):
-            c = masks[i].bit_count()
-            total += c * (c - 1)
-        return total
-    for i in range(n - h - 1):
-        m_i = masks[i]
-        m_j = masks[i + h]
-        ex = (m_i >> (i + h)) & 1
-        a = m_i.bit_count() - ex
-        b = m_j.bit_count() - ex
-        total += a * b - (m_i & m_j).bit_count()
-    return total
+        return _lagged_triples(deg, 0, None, 0)
+    m = n - h - 1
+    row, col = np.divmod(keys, n)
+    adj = np.bincount(row[col - row == h], minlength=n)[:m]
+    early = col < m
+    overlap = sum(int(np.count_nonzero((keys[s:] - keys[:-s] == h) & early[:-s]))
+                  for s in range(1, h + 1))
+    return _lagged_triples(deg, h, adj, overlap)
 
 
 def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
@@ -270,19 +285,17 @@ def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
         raise ValueError(f"need n >= h + 4 (n={sample.n}, h={h})")
     if sample.d == 1:
         return _uh_counts_1d(sample, eps0, (h,))[0]
-    i_arr, j_arr = close_pairs(sample, eps0)
-    masks = _adjacency_masks(sample.n, i_arr, j_arr)
-    return _uh_count_from_masks(masks, sample.n, h)
+    adjacency = _adjacency_masks(sample.n, *close_pairs(sample, eps0))
+    return _uh_count_from_masks(adjacency, sample.n, h)
 
 
 def _uh_counts_1d(sample: SeriesSample, eps0: float, lags) -> list[int]:
     """Lagged-triple counts of a 1-D sample, one per lag, from rank windows.
 
     Same counts as count_uh_triples; the caller checks 0 <= h <= n - 4.
-    With W(i) the window of i (i itself included), deg_i = |W(i)| - 1 and
-    adj = [X_i ~ X_{i+h}], anchor i adds (deg_i - adj)(deg_{i+h} - adj)
-    minus |W(i) & W(i+h)| - 2 adj, the neighbours the two anchors share
-    outside {i, i+h}.  Each lag is O(n).
+    With W(i) the window of i (i itself included), deg_i = |W(i)| - 1,
+    adj = [X_i ~ X_{i+h}], and the neighbours the two anchors share outside
+    {i, i+h} are |W(i) & W(i+h)| - 2 adj.  Each lag is O(n).
     """
     eps0 = _checked_eps(eps0)
     x = sample.points[:, 0]
@@ -294,16 +307,11 @@ def _uh_counts_1d(sample: SeriesSample, eps0: float, lags) -> list[int]:
     rank[order] = np.arange(n)
     lo, hi = lo_s[rank], hi_s[rank]
     deg = hi - lo - 1
-    bound = (n - 1) * (n - 1)
     out = []
     for h in lags:
         m = n - h - 1
-        if h == 0:
-            out.append(_exact_sum(deg[:m] * (deg[:m] - 1), bound))
-            continue
         gap = x[:m] - x[h : h + m]
         adj = (gap * gap <= eps_sq).astype(np.int64)
         shared = np.maximum(0, np.minimum(hi[:m], hi[h : h + m]) - np.maximum(lo[:m], lo[h : h + m]))
-        terms = (deg[:m] - adj) * (deg[h : h + m] - adj) - (shared - 2 * adj)
-        out.append(_exact_sum(terms, bound))
+        out.append(_lagged_triples(deg, h, adj, int(shared.sum()) - 2 * int(adj.sum())))
     return out

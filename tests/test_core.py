@@ -306,6 +306,11 @@ def test_sample_csv_rejects_non_finite(tmp_path, cell):
     path.write_text(f"1.0\n{cell}\n")
     with pytest.raises(ValueError, match="non-finite"):
         read_sample_csv(str(path))
+    # rows count from 1 after the header, blank lines not counted
+    path.write_text(f"x\n1.0\n\n2.0\n{cell}\n")
+    with pytest.raises(ValueError) as err:
+        read_sample_csv(str(path))
+    assert str(err.value) == f"{path}: non-finite value in row 3"
 
 
 @pytest.mark.parametrize("header", ["", "x\n"])

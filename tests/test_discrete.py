@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from epsentropy.core import RngStream, SeriesSample, ball_volume
 from epsentropy.discrete import DiscreteSample, discrete_report, discrete_residual
 from epsentropy.estimators import EstimateConfig, estimate_report, triple_normalizer
+from epsentropy.paircount import count_uh_triples
 
 
 def _sym(seed, n, hi, d=1):
@@ -97,6 +98,15 @@ def test_u3_saturates_at_one(h):
 @pytest.mark.parametrize("h", [0, 1])
 def test_u3_zero_when_all_distinct(h):
     assert discrete_report(DiscreteSample(np.arange(9)), h).u3_hat[h] == 0.0
+
+
+def test_u3_exact_past_int64():
+    # n constant symbols give (n - 1)(n - 2) triples per anchor; summed over
+    # n > 2^21 anchors that passes 2^63, where an int64 sum wraps negative
+    n = 2**21 + 10**4
+    rep = discrete_report(DiscreteSample(np.zeros(n, dtype=np.int64)), 1)
+    assert rep.u3_hat == (1.0, 1.0)
+    assert rep.s2_hat == 0.0
 
 
 def test_u3_needs_enough_observations():
@@ -244,3 +254,28 @@ def test_continuous_report_at_half_eps_equals_discrete(case):
     assert cont.h2_hat == disc.h2_hat
     assert cont.u3_hat == disc.u3_hat
     assert cont.zeta_hat == disc.s2_hat
+
+
+@st.composite
+def _symbol_vectors_and_lag(draw):
+    d = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(0, 4))
+    n = draw(st.integers(r + 4, r + 24))
+    x = draw(st.lists(st.integers(-1, 2), min_size=n * d, max_size=n * d))
+    return np.array(x, dtype=np.int64).reshape(n, d), r
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_symbol_vectors_and_lag())
+def test_continuous_counts_at_half_eps_equal_discrete_vectors(case):
+    # distinct integer vectors are at least 1 apart, so at eps = 1/2 the
+    # close pairs and triples are the ties; the ball volume is no longer 1,
+    # so the raw proportions are compared
+    x, r = case
+    n = x.shape[0]
+    pts = SeriesSample(x.astype(float))
+    cont = estimate_report(pts, EstimateConfig(eps=0.5, r=r))
+    disc = discrete_report(DiscreteSample(x), r)
+    assert cont.qn_raw == disc.qn
+    for h in range(r + 1):
+        assert count_uh_triples(pts, h, 0.5) / triple_normalizer(n, h) == disc.u3_hat[h]

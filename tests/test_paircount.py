@@ -235,7 +235,7 @@ def test_uh_count_matches_enumeration_random(h):
 
 @pytest.mark.parametrize("h", [0, 1, 2])
 def test_uh_count_matches_enumeration_clustered(h):
-    # heavy mask overlap: many shared neighbors between anchors
+    # many neighbours shared between anchors
     gen = RngStream(63, 0).generator()
     pts = np.round(gen.random((24, 1)) * 4) / 4
     s = SeriesSample(pts)
@@ -245,14 +245,37 @@ def test_uh_count_matches_enumeration_clustered(h):
 @pytest.mark.parametrize("h,n", [(0, 8), (1, 8), (2, 9), (4, 11)])
 def test_uh_count_saturates_at_normalizer(h, n):
     # all points within eps0 of each other: every admissible triple counts
-    pts = np.linspace(0.0, 0.001, n)
-    s = SeriesSample(pts)
-    assert count_uh_triples(s, h, 1.0) == triple_normalizer(n, h)
+    for d in (1, 2, 3):
+        pts = np.repeat(np.linspace(0.0, 0.001, n)[:, None], d, axis=1)
+        assert count_uh_triples(SeriesSample(pts), h, 1.0) == triple_normalizer(n, h)
 
 
 def test_uh_count_zero_when_isolated():
-    s = SeriesSample(np.arange(10.0) * 100.0)
-    assert count_uh_triples(s, 1, 1.0) == 0
+    for d in (1, 2, 3):
+        pts = np.repeat(np.arange(10.0)[:, None] * 100.0, d, axis=1)
+        assert count_uh_triples(SeriesSample(pts), 1, 1.0) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("h", [4, 5, 6])
+def test_uh_count_matches_enumeration_dense_in_index(d, h):
+    # a slow random walk: each row's neighbours are its index neighbours, so
+    # columns c and c+h of one sorted key row are few slots apart
+    steps = RngStream(65, d).generator().normal(size=(22, d)) * 0.1
+    s = SeriesSample(np.cumsum(steps, axis=0))
+    assert count_uh_triples(s, h, 0.35) == brute_uh_count(s.points, h, 0.35)
+
+
+def test_uh_count_ignores_key_gaps_across_rows():
+    # edge (1, n-1) sits directly before (2, 0) in key order: the keys differ
+    # by h = 1 across two rows, which is no shared neighbour
+    pts = [(0.0, 0.0), (10.0, 0.0), (0.1, 0.0), (20.0, 0.0), (30.0, 0.0), (10.1, 0.0)]
+    s = SeriesSample(pts)
+    i_arr, j_arr = close_pairs(s, 0.2)
+    keys, _ = paircount._adjacency_masks(6, i_arr, j_arr)
+    assert keys.tolist() == [2, 11, 12, 31]
+    for h in range(3):
+        assert count_uh_triples(s, h, 0.2) == brute_uh_count(pts, h, 0.2)
 
 
 def test_uh_count_validation():
