@@ -108,8 +108,15 @@ def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:
         raise ValueError(f"r must be nonnegative, got {r}")
     if sample.n < r + 4:
         raise ValueError(f"need n >= r + 4 (n={sample.n}, r={r})")
-    _, codes, counts = np.unique(sample.symbols, axis=0, return_inverse=True, return_counts=True)
-    codes = codes.ravel()
+    # one label per distinct row; any labelling consistent across equal rows
+    # gives the same counts.  Whole rows compare as raw bytes, and a single
+    # column sorts faster as int64.
+    sym = sample.symbols
+    if sample.d == 1:
+        rows = sym[:, 0]
+    else:
+        rows = sym.view(np.dtype((np.void, sym.itemsize * sample.d)))[:, 0]
+    _, codes, counts = np.unique(rows, return_inverse=True, return_counts=True)
     freq = counts[codes]
     matches = int(np.sum(counts * (counts - 1) // 2))
     q = matches / (sample.n * (sample.n - 1) // 2)

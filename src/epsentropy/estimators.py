@@ -29,8 +29,8 @@ import numpy as np
 from .core import SeriesSample, ball_volume, unit_ball_volume
 from .paircount import (
     _adjacency_masks,
+    _counts_1d,
     _uh_count_from_masks,
-    _uh_counts_1d,
     close_pairs,
     count_close_pairs,
 )
@@ -132,21 +132,6 @@ def triple_normalizer(n: int, h: int) -> int:
     return (n - h - 1) * (n - 2) * (n - 3)
 
 
-def _u3_all(sample: SeriesSample, eps0: float, r: int) -> tuple[float, ...]:
-    """u3_hat[h] for h = 0..r: triple counts over normalizer * ball_volume(d, eps0)^2.
-
-    Each estimates E[p(X_1) p(X_{1+h})] and saturates at
-    ball_volume(d, eps0)^{-2} when every indicator fires.
-    """
-    b2 = ball_volume(sample.d, eps0) ** 2
-    if sample.d == 1:
-        counts = _uh_counts_1d(sample, eps0, range(r + 1))
-    else:
-        adjacency = _adjacency_masks(sample.n, *close_pairs(sample, eps0))
-        counts = [_uh_count_from_masks(adjacency, sample.n, h) for h in range(r + 1)]
-    return tuple(c / (triple_normalizer(sample.n, h) * b2) for h, c in enumerate(counts))
-
-
 def _zeta_from(q2_hat: float, u3: tuple[float, ...]) -> float:
     """(u3[0] - q^2) + 2 sum_{h=1}^{r} (u3[h] - q^2), the long-run variance plug-in.
 
@@ -162,20 +147,35 @@ def _zeta_from(q2_hat: float, u3: tuple[float, ...]) -> float:
 
 
 def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateReport:
-    """All estimates in one pass; pair structures at eps0 are reused per lag."""
+    """All estimates in one pass; pair structures at eps0 are reused per lag.
+
+    A 1-D sample is sorted once, and the pairs, the minimum distance and
+    every lag come from the windows of that sort.
+    """
     n = sample.n
     if n < config.r + 4:
         raise ValueError(f"need n >= r + 4 (n={n}, r={config.r})")
     eps = float(config.eps)
     eps0 = config.resolved_eps0
 
-    pair_res = count_close_pairs(sample, eps)
-    qn = pair_res.n_pairs_close / (n * (n - 1) / 2)
+    lags = range(config.r + 1)
+    if sample.d == 1:
+        n_close, min_sq, counts = _counts_1d(sample.points[:, 0], eps, eps0, lags)
+        min_distance = math.sqrt(min_sq)
+    else:
+        pair_res = count_close_pairs(sample, eps)
+        n_close, min_distance = pair_res.n_pairs_close, pair_res.min_distance
+        adjacency = _adjacency_masks(n, *close_pairs(sample, eps0))
+        counts = [_uh_count_from_masks(adjacency, n, h) for h in lags]
+    qn = n_close / (n * (n - 1) / 2)
     b_eps = ball_volume(sample.d, eps)
     q2 = qn / b_eps
     h2 = -math.log(max(q2, 1.0 / n))
 
-    u3 = _u3_all(sample, eps0, config.r)
+    # u3[h] estimates E[p(X_1) p(X_{1+h})]; it saturates at
+    # ball_volume(d, eps0)^-2 when every indicator fires
+    b2 = ball_volume(sample.d, eps0) ** 2
+    u3 = tuple(c / (triple_normalizer(n, h) * b2) for h, c in enumerate(counts))
     h3 = -0.5 * math.log(max(u3[0], 1.0 / n))
     z = _zeta_from(q2, u3)
     w = math.sqrt(2.0 * q2 / (n * b_eps) + 4.0 * max(z, 1.0 / n))
@@ -187,8 +187,8 @@ def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateRep
         eps=eps,
         eps0=eps0,
         r=config.r,
-        n_pairs_close=pair_res.n_pairs_close,
-        min_distance=pair_res.min_distance,
+        n_pairs_close=n_close,
+        min_distance=min_distance,
         qn_raw=qn,
         q2_hat=q2,
         h2_hat=h2,

@@ -4,12 +4,13 @@ Counting is exact and boundary-inclusive: a pair at distance exactly eps
 counts.  All comparisons run on squared distances against eps*eps, never on
 square roots.  Every path starts from one sort on the first
 coordinate, which gives for every point the window of sorted positions
-within eps on that coordinate, found by bisection on the exact squared test
-(rank windows):
+within eps on that coordinate (rank windows).  The window edges are defined
+by the exact squared test: a searchsorted seed counts only where that test
+confirms it, and bisection on the test finds the rest.
 
 * d = 1: the windows are the answer.  Pair counts, the minimum distance and
   the lagged triples come from them in O(n log n) time and O(n) memory,
-  exact by construction.
+  exact by construction; a report sorts once.
 * d >= 2: the windows hold every pair within eps, because a rounded sum of
   nonnegative squares is never below its first term.  The full squared
   distances of the window pairs, added column by column from the left, are
@@ -149,23 +150,31 @@ def _rank_windows(v: np.ndarray, eps_sq: float) -> tuple[np.ndarray, np.ndarray]
 
     q is in the window iff fl(fl(v[q] - v[p])^2) <= eps_sq, the test every
     other path applies, p itself included.  Rounding is monotone, so the
-    test is monotone in q on each side of p and bisection on it is exact;
-    no v +- eps search is trusted.  lo is nondecreasing in p, and by
-    symmetry q > p lies in p's window iff lo[q] <= p, which gives hi.
+    test is monotone in q on each side of p, and lo[p] is the one position
+    where it holds and fails one step to the left (or lo[p] == 0).  A
+    searchsorted seed at v - sqrt(eps_sq) counts only where the exact test
+    confirms it so; the rows where it is off (rounding at the boundary,
+    squares that underflow or overflow) are bisected on the test itself.
+    lo is nondecreasing in p, and by symmetry q > p lies in p's window iff
+    lo[q] <= p, so hi[p] counts the q with lo[q] <= p.
     """
-    n = v.shape[0]
-    pos = np.arange(n)
+    def close(vp, q):
+        gap = vp - v[q]
+        return gap * gap <= eps_sq
+
+    lo = np.searchsorted(v, v - math.sqrt(eps_sq))
+    miss = np.flatnonzero(~close(v, lo) | ((lo > 0) & close(v, np.maximum(lo - 1, 0))))
     # invariant: position b is within eps of p, and no position below a is
-    a = np.zeros(n, dtype=np.int64)
-    b = pos.copy()
+    vp = v[miss]
+    a = np.zeros(miss.shape[0], dtype=np.int64)
+    b = miss
     while np.any(a < b):
         mid = (a + b) // 2
-        gap = v - v[mid]
-        close = gap * gap <= eps_sq
-        b = np.where(close, mid, b)
-        a = np.where(close, a, mid + 1)
-    hi = np.searchsorted(a, pos, side="right")
-    return a, hi
+        hit = close(vp, mid)
+        b = np.where(hit, mid, b)
+        a = np.where(hit, a, mid + 1)
+    lo[miss] = a
+    return lo, np.cumsum(np.bincount(lo, minlength=v.shape[0]))
 
 
 def _checked_eps(eps: float) -> float:
@@ -212,13 +221,10 @@ def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     n = sample.n
     if n < 2:
         raise ValueError("pair counting needs at least two observations")
-    eps_sq = eps * eps
     if sample.d == 1:
-        v = np.sort(pts[:, 0])
-        lo, _ = _rank_windows(v, eps_sq)
-        count = int((np.arange(n) - lo).sum())
-        min_sq = _sorted_min_sq(v)
+        count, min_sq, _ = _counts_1d(pts[:, 0], eps, eps, ())
     else:
+        eps_sq = eps * eps
         count, min_sq = _count_and_min_sq(pts, eps_sq)
         if min_sq > eps_sq:
             min_sq = _min_sq_distance(pts)
@@ -283,35 +289,42 @@ def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
         raise ValueError(f"lag must be nonnegative, got {h}")
     if sample.n < h + 4:
         raise ValueError(f"need n >= h + 4 (n={sample.n}, h={h})")
+    eps0 = _checked_eps(eps0)
     if sample.d == 1:
-        return _uh_counts_1d(sample, eps0, (h,))[0]
+        return _counts_1d(sample.points[:, 0], eps0, eps0, (h,))[2][0]
     adjacency = _adjacency_masks(sample.n, *close_pairs(sample, eps0))
     return _uh_count_from_masks(adjacency, sample.n, h)
 
 
-def _uh_counts_1d(sample: SeriesSample, eps0: float, lags) -> list[int]:
-    """Lagged-triple counts of a 1-D sample, one per lag, from rank windows.
+def _counts_1d(x: np.ndarray, eps: float, eps0: float, lags) -> tuple[int, float, list[int]]:
+    """Pairs within eps, the squared minimum distance and the lagged-triple
+    counts at eps0, one per lag, of a 1-D sample from one sort.
 
-    Same counts as count_uh_triples; the caller checks 0 <= h <= n - 4.
-    With W(i) the window of i (i itself included), deg_i = |W(i)| - 1,
-    adj = [X_i ~ X_{i+h}], and the neighbours the two anchors share outside
-    {i, i+h} are |W(i) & W(i+h)| - 2 adj.  Each lag is O(n).
+    The caller checks eps, eps0 and 0 <= h <= n - 4.  The windows at eps0
+    give the triples, and the pairs too when the radii square alike;
+    otherwise a second window pass on the same sorted values gives the
+    pairs.  A window depends only on the value, so the order of tied values
+    in the sort changes no count.  With W(i) the window of i (i itself
+    included), deg_i = |W(i)| - 1, adj = [X_i ~ X_{i+h}], and the neighbours
+    the two anchors share outside {i, i+h} are |W(i) & W(i+h)| - 2 adj.
+    Each lag is O(n).
     """
-    eps0 = _checked_eps(eps0)
-    x = sample.points[:, 0]
     n = x.shape[0]
-    eps_sq = eps0 * eps0
-    order = np.argsort(x, kind="stable")
-    lo_s, hi_s = _rank_windows(x[order], eps_sq)
+    order = np.argsort(x)
+    v = x[order]
+    eps_sq, eps0_sq = eps * eps, eps0 * eps0
+    lo_s, hi_s = _rank_windows(v, eps0_sq)
+    lo_pairs = lo_s if eps_sq == eps0_sq else _rank_windows(v, eps_sq)[0]
+    n_close = int((np.arange(n) - lo_pairs).sum())
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     lo, hi = lo_s[rank], hi_s[rank]
     deg = hi - lo - 1
-    out = []
+    counts = []
     for h in lags:
         m = n - h - 1
         gap = x[:m] - x[h : h + m]
-        adj = (gap * gap <= eps_sq).astype(np.int64)
+        adj = (gap * gap <= eps0_sq).astype(np.int64)
         shared = np.maximum(0, np.minimum(hi[:m], hi[h : h + m]) - np.maximum(lo[:m], lo[h : h + m]))
-        out.append(_lagged_triples(deg, h, adj, int(shared.sum()) - 2 * int(adj.sum())))
-    return out
+        counts.append(_lagged_triples(deg, h, adj, int(shared.sum()) - 2 * int(adj.sum())))
+    return n_close, _sorted_min_sq(v), counts

@@ -71,6 +71,38 @@ def brute_uh_count(points, h: int, eps0: float) -> int:
     return total
 
 
+def bisect_rank_windows(values, eps_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Windows [lo, hi) of sorted values by bisection on the exact squared
+    test fl(fl(v[q] - v[p])^2) <= eps_sq, one point at a time, on each side.
+
+    Python floats round like float64, and their products overflow to inf
+    rather than raising.
+    """
+    v = [float(t) for t in values]
+    n = len(v)
+    lo, hi = [], []
+    for p in range(n):
+        a, b = 0, p  # the first position within eps is in [a, b]
+        while a < b:
+            mid = (a + b) // 2
+            gap = v[p] - v[mid]
+            if gap * gap <= eps_sq:
+                b = mid
+            else:
+                a = mid + 1
+        lo.append(a)
+        a, b = p, n - 1  # the last position within eps is in [a, b]
+        while a < b:
+            mid = (a + b + 1) // 2
+            gap = v[mid] - v[p]
+            if gap * gap <= eps_sq:
+                a = mid
+            else:
+                b = mid - 1
+        hi.append(a + 1)
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
 def brute_discrete_q2(symbols) -> float:
     arr = np.asarray(symbols)
     if arr.ndim == 1:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsentropy.core import RngStream, SeriesSample, ball_volume
-from epsentropy.discrete import DiscreteSample, discrete_report, discrete_residual
+from epsentropy.discrete import DiscreteSample, _u3_count, discrete_report, discrete_residual
 from epsentropy.estimators import EstimateConfig, estimate_report, triple_normalizer
 from epsentropy.paircount import count_uh_triples
 
@@ -107,6 +107,31 @@ def test_u3_exact_past_int64():
     rep = discrete_report(DiscreteSample(np.zeros(n, dtype=np.int64)), 1)
     assert rep.u3_hat == (1.0, 1.0)
     assert rep.s2_hat == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_labels_match_axis0_unique(d):
+    # rows are labelled by one np.unique over whole rows; the counts must
+    # equal those from the row-wise axis=0 labelling and from brute force,
+    # with negative symbols and symbols that differ only above bit 32
+    gen = RngStream(17, d).generator()
+    sym = gen.integers(-2, 2, size=(40, d)) * 2**33 + gen.integers(0, 2, size=(40, d))
+    sym[5] = sym[3]
+    sym[7] = sym[3] + 2**32
+    sym[9, 0] = -(2**62)
+    s = DiscreteSample(sym)
+    rep = discrete_report(s, 3)
+    _, codes, counts = np.unique(sym, axis=0, return_inverse=True, return_counts=True)
+    codes = codes.ravel()
+    n = 40
+    assert rep.qn == int(np.sum(counts * (counts - 1) // 2)) / (n * (n - 1) // 2)
+    assert rep.u3_hat == tuple(
+        _u3_count(codes, counts[codes], n, h) / triple_normalizer(n, h) for h in range(4)
+    )
+    assert rep.qn == brute_discrete_q2(sym)
+    assert rep.u3_hat == tuple(
+        brute_discrete_uh_count(sym, h) / triple_normalizer(n, h) for h in range(4)
+    )
 
 
 def test_u3_needs_enough_observations():

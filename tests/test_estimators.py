@@ -15,7 +15,7 @@ from epsentropy.estimators import (
     suggest_eps,
     triple_normalizer,
 )
-from epsentropy.paircount import count_close_pairs, count_uh_triples
+from epsentropy.paircount import count_close_pairs, count_uh_triples, min_interpoint_distance
 
 
 def _sample(seed, n, d=1):
@@ -169,6 +169,28 @@ def test_report_agrees_with_parts():
     assert rep.h3_hat == -0.5 * math.log(max(u3[0], 1 / 120))
     doc = rep.to_dict()
     assert doc["u3_hat"] == list(rep.u3_hat) and doc["n_pairs_close"] == rep.n_pairs_close
+
+
+@pytest.mark.parametrize("eps,eps0", [
+    (0.25, 0.5),
+    (0.25, 0.25),
+    (0.5, 0.25),
+    (0.25, math.nextafter(0.25, 1.0)),  # one ulp apart, and so are the squares
+    (5e-155, math.nextafter(5e-155, 1.0)),  # distinct radii, one subnormal square
+])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_1d_report_matches_separate_calls(eps, eps0, duplicates):
+    # the 1-D report sorts once and reuses the windows; each field must
+    # equal the call that computes it alone
+    pts = RngStream(19, int(duplicates)).generator().normal(size=(300, 1))
+    if duplicates:
+        pts = np.round(pts * 4) / 4  # ties, and pairs exactly 0.25 or 0.5 apart
+    s = SeriesSample(pts)
+    rep = _report(s, eps, eps0, r=6)
+    assert rep.n_pairs_close == count_close_pairs(s, eps).n_pairs_close
+    assert rep.n_pairs_close == brute_pair_count(pts, eps)
+    assert rep.min_distance == min_interpoint_distance(s)
+    assert rep.u3_hat == tuple(_u3_from_count(s, h, eps0) for h in range(7))
 
 
 def test_report_needs_enough_observations():

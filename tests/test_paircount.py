@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import brute_close_pairs, brute_min_distance, brute_pair_count, brute_uh_count
+from helpers import (
+    bisect_rank_windows,
+    brute_close_pairs,
+    brute_min_distance,
+    brute_pair_count,
+    brute_uh_count,
+)
 
 from epsentropy import paircount
 from epsentropy.core import RngStream, SeriesSample
@@ -316,9 +322,22 @@ def _hostile_1d(draw):
     return pts, eps
 
 
+_MAX = 1.7976931348623157e308
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(_hostile_1d())
 @example((np.array(_BOUNDARY_6), 0.3))
+# eps^2 underflows to 0, so only gaps whose square underflows count
+@example((np.array([0.0, 1e-170, 3e-170, 1e-160, 2e-160, 1e-150, 1.0]), 1e-170))
+# eps^2 overflows to inf, so every pair counts, even a gap that overflows
+@example((np.array([-1e200, -3.0, 0.0, 1e150, 1e300, _MAX]), 1e160))
+# v - eps overflows to -inf next to -1e308
+@example((np.array([-_MAX, -1e308, -1e308, 0.0, 1e308, _MAX]), 1e300))
+# gaps between the extremes overflow while eps^2 stays finite
+@example((np.array([-_MAX, np.nextafter(-_MAX, 0.0), -1e308, 1e308, _MAX, _MAX]), 1.0))
+@example((np.full(9, 0.3), 0.1))
+@example((np.full(9, -1e9), 1e-170))
 def test_rank_windows_match_brute(case):
     pts, eps = case
     s = SeriesSample(pts)
@@ -391,3 +410,68 @@ def test_grid_matches_brute(case):
     assert pairs == brute_close_pairs(pts, eps)
     for h in range(min(4, s.n - 3)):
         assert count_uh_triples(s, h, eps) == brute_uh_count(pts, h, eps)
+
+
+def _nudged_lattice(gen, n, step, shift):
+    """n points k*step + shift, |k| <= 40, each nudged 0-2 ulps either way."""
+    x = gen.integers(-40, 41, size=n) * step + shift
+    k = gen.integers(-2, 3, size=n)
+    for ulps in (1, 2):
+        m = np.abs(k) >= ulps
+        x[m] = np.nextafter(x[m], np.copysign(np.inf, k[m]))
+    return x
+
+
+def _window_cases():
+    gen = RngStream(66, 0).generator()
+    return {
+        "lattice": (_nudged_lattice(gen, 3000, 0.3, 0.1), 0.3),
+        "lattice_far": (_nudged_lattice(gen, 3000, 1.0 / 3.0, -10.557064909613523 + 1e9), 1.0 / 3.0),
+        # eps^2 = 1e-320 is subnormal, so the squares round coarsely
+        "lattice_subnormal_sq": (_nudged_lattice(gen, 3000, 1e-160, 0.0), 1e-160),
+        # eps^2 is finite, but squares of gaps of two eps or more overflow
+        "lattice_overflow_sq": (_nudged_lattice(gen, 3000, 1e154, 0.0), 1e154),
+        "underflow_eps_sq": (gen.integers(0, 2000, size=3000) * 1e-170, 1e-170),
+        "overflow_eps_sq": (gen.normal(size=3000) * 1e200, 1e160),
+        "v_minus_eps_overflows": (gen.choice([-_MAX, -1e308, 0.0, 1e308, _MAX], size=3000), 1e300),
+        "equal": (np.full(3000, 0.3), 0.1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_window_cases()))
+def test_rank_windows_match_full_bisection(name):
+    x, eps = _window_cases()[name]
+    v = np.sort(x)
+    lo, hi = paircount._rank_windows(v, eps * eps)
+    ref_lo, ref_hi = bisect_rank_windows(v, eps * eps)
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+    if name.startswith(("lattice", "underflow")):
+        # the searchsorted seed is wrong on some rows here, so the bisection runs
+        with np.errstate(over="ignore"):
+            seed = np.searchsorted(v, v - math.sqrt(eps * eps))
+        assert np.any(seed != ref_lo)
+
+
+# ---------------------------------------------------------------------------
+# scaling by a power of two changes no count
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [-20, -1, 1, 20])
+def test_power_of_two_scaling_is_exact(d, k):
+    # every difference, square and sum scales exactly by 2^k or 4^k, and
+    # sqrt(4^k y) = 2^k sqrt(y), so rounding happens at the same points
+    gen = RngStream(67, d).generator()
+    normal = gen.normal(size=(150, d))
+    lattice = np.round(gen.normal(size=(150, d)) * 4) / 4  # pairs exactly 0.25 apart
+    scale = 2.0**k
+    for pts, eps in ((normal, 0.3), (lattice, 0.25)):
+        s, t = SeriesSample(pts), SeriesSample(pts * scale)
+        res, res_t = count_close_pairs(s, eps), count_close_pairs(t, eps * scale)
+        assert res_t.n_pairs_close == res.n_pairs_close
+        assert res_t.min_distance == res.min_distance * scale
+        assert min_interpoint_distance(t) == min_interpoint_distance(s) * scale
+        pairs = set(zip(*(a.tolist() for a in close_pairs(s, eps))))
+        assert set(zip(*(a.tolist() for a in close_pairs(t, eps * scale)))) == pairs
+        for h in range(4):
+            assert count_uh_triples(t, h, eps * scale) == count_uh_triples(s, h, eps)
