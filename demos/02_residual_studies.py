@@ -41,4 +41,4 @@ for label, plan in studies:
     print()
 
 # replicate i always consumes stream i of the base seed, so studies are
-# reproducible and embarrassingly parallel; set RENYI_THREADS to use cores
+# reproducible and any one replicate can be re-run alone

@@ -75,12 +75,6 @@ class SeriesSample:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def prefix(self, n: int) -> "SeriesSample":
-        """First n rows as a new sample."""
-        if not 1 <= n <= self.n:
-            raise ValueError(f"prefix length {n} outside [1, {self.n}]")
-        return SeriesSample(self.points[:n])
-
     def project(self, columns) -> "SeriesSample":
         """Sub-sample restricted to the given column indices (key subsets)."""
         cols = list(columns)
@@ -122,12 +116,18 @@ def unit_ball_volume(d: int) -> float:
 
 
 def ball_volume(d: int, eps: float) -> float:
-    """Volume of a radius-eps ball in R^d, eps^d * unit_ball_volume(d)."""
+    """Volume of a radius-eps ball in R^d, eps^d * unit_ball_volume(d).
+
+    Raises when the volume underflows to 0, since every estimate divides by it.
+    """
     vol1 = unit_ball_volume(d)
     eps = float(eps)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise ValueError(f"radius must be positive and finite, got {eps}")
-    return eps**d * vol1
+    vol = eps**d * vol1
+    if vol == 0.0:
+        raise ValueError(f"ball volume underflows to 0 at radius {eps} in dimension {d}")
+    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +263,9 @@ class RngStream:
 
     Identical (seed, stream_id) pairs reproduce identical draws across runs;
     distinct stream_ids index statistically independent streams (PCG64 seeded
-    through SeedSequence spawn keys).  Streams are single-owner values: hand a
-    replicate its own ``stream(i)`` rather than sharing one generator.
+    through SeedSequence spawn keys).  Streams are single-owner values: give
+    each replicate its own ``RngStream(seed, i)`` rather than sharing one
+    generator.
     """
 
     seed: int
@@ -277,10 +278,6 @@ class RngStream:
             raise ValueError("stream_id must be an integer")
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be nonnegative")
-
-    def stream(self, stream_id: int) -> "RngStream":
-        """Sibling stream under the same seed."""
-        return RngStream(self.seed, stream_id)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

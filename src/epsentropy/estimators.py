@@ -157,6 +157,12 @@ def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateRep
         raise ValueError(f"need n >= r + 4 (n={n}, r={config.r})")
     eps = float(config.eps)
     eps0 = config.resolved_eps0
+    b_eps = ball_volume(sample.d, eps)
+    # u3[h] estimates E[p(X_1) p(X_{1+h})]; it saturates at
+    # ball_volume(d, eps0)^-2 when every indicator fires
+    b2 = ball_volume(sample.d, eps0) ** 2
+    if b2 == 0.0:
+        raise ValueError(f"squared ball volume underflows to 0 at eps0 {eps0} in dimension {sample.d}")
 
     lags = range(config.r + 1)
     if sample.d == 1:
@@ -168,13 +174,8 @@ def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateRep
         adjacency = _adjacency_masks(n, *close_pairs(sample, eps0))
         counts = [_uh_count_from_masks(adjacency, n, h) for h in lags]
     qn = n_close / (n * (n - 1) / 2)
-    b_eps = ball_volume(sample.d, eps)
     q2 = qn / b_eps
     h2 = -math.log(max(q2, 1.0 / n))
-
-    # u3[h] estimates E[p(X_1) p(X_{1+h})]; it saturates at
-    # ball_volume(d, eps0)^-2 when every indicator fires
-    b2 = ball_volume(sample.d, eps0) ** 2
     u3 = tuple(c / (triple_normalizer(n, h) * b2) for h, c in enumerate(counts))
     h3 = -0.5 * math.log(max(u3[0], 1.0 / n))
     z = _zeta_from(q2, u3)

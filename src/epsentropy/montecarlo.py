@@ -3,8 +3,8 @@
 A study is a plan (process, sample size, estimation config, residual kind,
 base seed) executed over independent replicates.  Replicate i always draws
 from stream i of the base seed, so a single replicate can be re-run in
-isolation and the batch is invariant under execution order; worker threads
-change wall time only.
+isolation.  Replicates run one after another, in index order, on the
+calling thread.
 
 The three probes mirror the three limit regimes of the close-pair count:
 residual batches against N(0,1) when n eps^d is moderate-to-large, the
@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asymptotics import PoissonApprox
-from .core import RngStream, normal_cdf, unit_ball_volume, worker_count
+from .core import RngStream, normal_cdf, unit_ball_volume
+from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
 from .estimators import EstimateConfig, ResidualKind, estimate_report, residual_from_report
 from .paircount import count_close_pairs
 from .processes import ProcessSpec, generate
@@ -209,19 +209,14 @@ def ks_test(data, cdf="std_normal") -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _replicate_map(n_sim: int, base_seed: int, task) -> list:
-    """Run task(i, stream_i) for i in 0..n_sim-1, merged by replicate index."""
-
-    def guarded(i: int):
+    """[task(i, stream_i) for i in 0..n_sim-1], run in index order."""
+    results = []
+    for i in range(n_sim):
         try:
-            return task(i, RngStream(base_seed, i))
+            results.append(task(i, RngStream(base_seed, i)))
         except Exception as exc:
             raise RuntimeError(f"replicate {i}: {exc}") from exc
-
-    workers = worker_count(n_sim)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(guarded, range(n_sim)))
-    return [guarded(i) for i in range(n_sim)]
+    return results
 
 
 def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
@@ -245,6 +240,28 @@ def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
     )
 
 
+def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: int,
+                 q2: float | None) -> tuple[tuple[int, ...], float, int]:
+    """Close-pair counts of n_sim replicates, their mean b_1(d) q2 n^2 eps^d / 2, and d.
+
+    q2 defaults to the process truth, which must then be available.
+    """
+    q2_truth = spec.truth.q2 if q2 is None else float(q2)
+    if q2_truth is None:
+        raise ValueError(f"process family {spec.family!r} carries no q2 truth; pass q2=")
+    if n_sim < 1:
+        raise ValueError(f"n_sim must be >= 1, got {n_sim}")
+
+    def one(i: int, stream: RngStream) -> tuple[int, int]:
+        sample = generate(spec, n, stream).sample
+        return sample.d, count_close_pairs(sample, eps).n_pairs_close
+
+    dims, counts = zip(*_replicate_map(n_sim, base_seed, one))
+    d = dims[0]
+    mean = 0.5 * unit_ball_volume(d) * q2_truth * n * n * eps**d
+    return counts, mean, d
+
+
 def probe_poisson_regime(
     spec: ProcessSpec,
     n: int,
@@ -258,18 +275,8 @@ def probe_poisson_regime(
     Meaningful when n^2 eps^d stays moderate, so the count has a
     nondegenerate discrete limit.  q2 defaults to the process truth.
     """
-    q2_truth = spec.truth.q2 if q2 is None else float(q2)
-    if q2_truth is None:
-        raise ValueError(f"process family {spec.family!r} carries no q2 truth; pass q2=")
-
-    def one(i: int, stream: RngStream) -> int:
-        series = generate(spec, n, stream)
-        return count_close_pairs(series.sample, eps).n_pairs_close
-
-    counts = _replicate_map(n_sim, base_seed, one)
+    counts, mu, _ = _count_study(spec, n, eps, n_sim, base_seed, q2)
     arr = np.asarray(counts, dtype=np.float64)
-    d = generate(spec, 2, RngStream(base_seed, 0)).sample.d
-    mu = 0.5 * unit_ball_volume(d) * q2_truth * n * n * eps**d
     law = PoissonApprox(mu)
 
     k_max = int(arr.max())
@@ -284,7 +291,7 @@ def probe_poisson_regime(
     return SimulationOutcome(
         n=n,
         n_sim=n_sim,
-        counts=tuple(int(c) for c in counts),
+        counts=counts,
         tv_distance=tv,
         mu=mu,
         count_mean=float(arr.mean()),
@@ -308,23 +315,14 @@ def probe_moments(
     term b_1(d)^2 zeta n^3 eps^{2d}.  q2 and zeta default to the process
     truth and must be available (zeta = 0 holds for a uniform marginal).
     """
-    q2_truth = spec.truth.q2 if q2 is None else float(q2)
     zeta_truth = spec.truth.zeta if zeta is None else float(zeta)
-    if q2_truth is None:
-        raise ValueError(f"process family {spec.family!r} carries no q2 truth; pass q2=")
     if zeta_truth is None:
         raise ValueError(f"process family {spec.family!r} carries no zeta truth; pass zeta=")
-
-    def one(i: int, stream: RngStream) -> int:
-        series = generate(spec, n, stream)
-        return count_close_pairs(series.sample, eps).n_pairs_close
-
-    counts = np.asarray(_replicate_map(n_sim, base_seed, one), dtype=np.float64)
-    d = generate(spec, 2, RngStream(base_seed, 0)).sample.d
+    counts, mean_asym, d = _count_study(spec, n, eps, n_sim, base_seed, q2)
+    arr = np.asarray(counts, dtype=np.float64)
     b1 = unit_ball_volume(d)
-    mean_asym = 0.5 * b1 * q2_truth * n * n * eps**d
     var_asym = mean_asym + b1 * b1 * zeta_truth * n**3 * eps ** (2 * d)
-    return float(counts.mean() / mean_asym), float(counts.var(ddof=1) / var_asym)
+    return float(arr.mean() / mean_asym), float(arr.var(ddof=1) / var_asym)
 
 
 def standardize_batch(values) -> np.ndarray:

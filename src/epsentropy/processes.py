@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStream, SeriesSample, standard_normals, normal_quantile
+from .gof import k_d
 
 __all__ = [
     "ProcessTruth",
@@ -45,7 +46,6 @@ __all__ = [
     "iid_uniform_process",
     "ma2_normal_process",
     "lognormal_onedep_process",
-    "pearson2_max_entropy_constant",
     "pearson2_quantile",
     "COPULA_MARGINALS",
 ]
@@ -172,13 +172,6 @@ def iid_uniform_process(d: int = 1) -> ProcessSpec:
     return ProcessSpec(family="iid_uniform", params={"d": int(d)}, m=0, truth=truth)
 
 
-def pearson2_max_entropy_constant(d: int) -> float:
-    # local import keeps gof the canonical home of k_d
-    from .gof import k_d
-
-    return k_d(d)
-
-
 def pearson2_process(mu, sigma, m: int | None = None) -> ProcessSpec:
     mu_arr = np.asarray(mu, dtype=np.float64).ravel()
     d = mu_arr.size
@@ -195,7 +188,7 @@ def pearson2_process(mu, sigma, m: int | None = None) -> ProcessSpec:
     if not 1 <= m <= d + 3:
         raise ValueError(f"dependence parameter m must be in [1, {d + 3}], got {m}")
     det_root = float(np.prod(np.diagonal(chol)))
-    q2 = 1.0 / (pearson2_max_entropy_constant(d) * det_root)
+    q2 = 1.0 / (k_d(d) * det_root)
     truth = ProcessTruth(q2=q2, h2=-math.log(q2))
     return ProcessSpec(
         family="pearson2",

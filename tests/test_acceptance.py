@@ -179,7 +179,7 @@ def test_criterion_08_shrinking_eps_consistency():
     for i in range(reps):
         g = generate(spec, max(sizes), RngStream(20260220, i))
         for n in sizes:
-            sums[n] += estimate_report(g.sample.prefix(n), EstimateConfig(eps=n ** -0.4)).q2_hat
+            sums[n] += estimate_report(SeriesSample(g.sample.points[:n]), EstimateConfig(eps=n ** -0.4)).q2_hat
     errors = [abs(sums[n] / reps - q2_true) for n in sizes]
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     ok = decreasing and errors[-1] < 0.02

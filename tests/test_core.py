@@ -62,16 +62,10 @@ def test_sample_rejects_bad_input(bad):
         SeriesSample(bad)
 
 
-def test_prefix_and_project():
+def test_project():
     s = SeriesSample(np.arange(12.0).reshape(4, 3))
-    p = s.prefix(2)
-    assert np.array_equal(p.points, s.points[:2])
     pr = s.project([2, 0])
     assert np.array_equal(pr.points, s.points[:, [2, 0]])
-    with pytest.raises(ValueError):
-        s.prefix(0)
-    with pytest.raises(ValueError):
-        s.prefix(5)
     with pytest.raises(ValueError):
         s.project([])
     with pytest.raises(ValueError):
@@ -112,6 +106,16 @@ def test_ball_volume_scales_as_eps_power(d, eps):
 def test_ball_volume_rejects_bad_radius(eps):
     with pytest.raises(ValueError):
         ball_volume(2, eps)
+
+
+@pytest.mark.parametrize("d,eps", [(2, 1e-170), (3, 1e-110), (8, 1e-45)])
+def test_ball_volume_rejects_underflow(d, eps):
+    with pytest.raises(ValueError, match=rf"underflows to 0 at radius {eps} in dimension {d}"):
+        ball_volume(d, eps)
+
+
+def test_ball_volume_keeps_subnormal_results():
+    assert 0.0 < ball_volume(1, 1e-310) < 2.2250738585072014e-308
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +184,6 @@ def test_rng_streams_distinct():
     c = RngStream(8, 0).generator().random(16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_rng_stream_sibling():
-    assert RngStream(7, 0).stream(4) == RngStream(7, 4)
 
 
 @pytest.mark.parametrize("seed,sid", [(-1, 0), (0, -2), (1.5, 0), (True, 0), (0, False)])

@@ -147,6 +147,12 @@ def test_bad_columns_and_tiny_tables_are_rejected():
         evaluate_subset(one_row, (0,), eps=0.9)
 
 
+def test_radius_whose_ball_volume_underflows_is_rejected():
+    table = _int_table(37, 6, 2)
+    with pytest.raises(ValueError, match="underflows to 0 at radius 1e-170 in dimension 2"):
+        rank_candidates(table, [(0, 1)], 1e-170)
+
+
 def test_candidate_is_hashable_value_object():
     a = KeyCandidate(attributes=(0, 1), n_pairs_close=3, q2_hat=0.2, p_key=0.05)
     b = KeyCandidate(attributes=(0, 1), n_pairs_close=3, q2_hat=0.2, p_key=0.05)

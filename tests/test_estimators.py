@@ -193,6 +193,16 @@ def test_1d_report_matches_separate_calls(eps, eps0, duplicates):
     assert rep.u3_hat == tuple(_u3_from_count(s, h, eps0) for h in range(7))
 
 
+def test_report_rejects_radii_whose_volumes_underflow():
+    # the 1-D ball volume at eps0 = 1e-170 is 2e-170, but its square is 0
+    one = _sample(19, 6)
+    with pytest.raises(ValueError, match="squared ball volume underflows to 0 at eps0 1e-170"):
+        estimate_report(one, EstimateConfig(eps=0.1, eps0=1e-170))
+    two = _sample(19, 6, 2)
+    with pytest.raises(ValueError, match="underflows to 0 at radius 1e-170 in dimension 2"):
+        estimate_report(two, EstimateConfig(eps=1e-170))
+
+
 def test_report_needs_enough_observations():
     with pytest.raises(ValueError):
         estimate_report(_sample(19, 8), EstimateConfig(eps=0.1, r=5))

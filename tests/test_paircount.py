@@ -15,7 +15,7 @@ from helpers import (
 
 from epsentropy import paircount
 from epsentropy.core import RngStream, SeriesSample
-from epsentropy.estimators import triple_normalizer
+from epsentropy.estimators import EstimateConfig, estimate_report, triple_normalizer
 from epsentropy.paircount import (
     close_pairs,
     count_close_pairs,
@@ -351,6 +351,8 @@ def test_rank_windows_match_brute(case):
     pairs = set(zip(i_arr.tolist(), j_arr.tolist()))
     assert len(pairs) == i_arr.size
     assert pairs == brute_close_pairs(col, eps)
+    shuffled = count_close_pairs(SeriesSample(pts[RngStream(s.n, 1).generator().permutation(s.n)]), eps)
+    assert (shuffled.n_pairs_close, shuffled.min_distance) == (res.n_pairs_close, res.min_distance)
     for h in range(min(4, s.n - 3)):
         assert count_uh_triples(s, h, eps) == brute_uh_count(col, h, eps)
 
@@ -408,6 +410,8 @@ def test_grid_matches_brute(case):
     pairs = set(zip(i_arr.tolist(), j_arr.tolist()))
     assert len(pairs) == i_arr.size
     assert pairs == brute_close_pairs(pts, eps)
+    shuffled = count_close_pairs(SeriesSample(pts[RngStream(s.n, 1).generator().permutation(s.n)]), eps)
+    assert (shuffled.n_pairs_close, shuffled.min_distance) == (res.n_pairs_close, res.min_distance)
     for h in range(min(4, s.n - 3)):
         assert count_uh_triples(s, h, eps) == brute_uh_count(pts, h, eps)
 
@@ -475,3 +479,56 @@ def test_power_of_two_scaling_is_exact(d, k):
         assert set(zip(*(a.tolist() for a in close_pairs(t, eps * scale)))) == pairs
         for h in range(4):
             assert count_uh_triples(t, h, eps * scale) == count_uh_triples(s, h, eps)
+
+
+# ---------------------------------------------------------------------------
+# translation, row and column permutation change no count
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _exact_lattice(draw):
+    """(points, eps, row order, column order) in d = 1, 2, 3.
+
+    Coordinates are lattice steps plus a per-column offset, all multiples of
+    2^-20 below 2^20, so each translate by +-2^30 and each difference is
+    exact.  The differences are small multiples of 2^-20, so their squares
+    and the sums of those squares are exact too, in any column order.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(7, 12))
+    step = draw(st.sampled_from([2.0**-3, 0.25, 0.375, 3 * 2.0**-20, round(0.1 * 2**20) * 2.0**-20]))
+    k_max = draw(st.sampled_from([1, 3, 10, 40]))
+    ks = draw(st.lists(st.integers(-k_max, k_max), min_size=n * d, max_size=n * d))
+    pts = np.array(ks, dtype=np.float64).reshape(n, d) * step
+    for c in range(d):
+        pts[:, c] += draw(st.integers(-(2**39), 2**39)) * 2.0**-20
+    if draw(st.booleans()):
+        pts[draw(st.integers(0, n - 1))] = pts[0]
+    eps = draw(st.sampled_from([1.0, 2.0, math.sqrt(2.0), 0.7])) * step  # pairs exactly eps apart
+    if draw(st.booleans()):
+        eps = 2.0 * float((pts.max(axis=0) - pts.min(axis=0)).max()) + eps
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(d)))
+    return pts, eps, rows, cols
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_exact_lattice())
+def test_translation_and_permutations_are_exact(case):
+    pts, eps, rows, cols = case
+    s = SeriesSample(pts)
+    rep = estimate_report(s, EstimateConfig(eps=eps))
+    assert rep.n_pairs_close == brute_pair_count(pts, eps)
+    assert rep.min_distance == brute_min_distance(pts)
+    # a row permutation changes the lagged triples, and so u3_hat, but no pair
+    shuffled = estimate_report(SeriesSample(pts[list(rows)]), EstimateConfig(eps=eps))
+    assert (shuffled.n_pairs_close, shuffled.q2_hat, shuffled.min_distance) == (
+        rep.n_pairs_close, rep.q2_hat, rep.min_distance)
+    triples = [count_uh_triples(s, h, eps) for h in range(4)]
+    assert triples == [brute_uh_count(pts, h, eps) for h in range(4)]
+    for moved in (pts + 2.0**30, pts - 2.0**30, pts[:, list(cols)]):
+        t = SeriesSample(moved)
+        res = count_close_pairs(t, eps)
+        assert res.n_pairs_close == rep.n_pairs_close == brute_pair_count(moved, eps)
+        assert res.min_distance == rep.min_distance == brute_min_distance(moved)
+        assert [count_uh_triples(t, h, eps) for h in range(4)] == triples

@@ -30,7 +30,6 @@ from epsentropy.processes import (
     lognormal_ma_process,
     lognormal_onedep_process,
     ma2_normal_process,
-    pearson2_max_entropy_constant,
     pearson2_process,
     pearson2_quantile,
 )
@@ -261,12 +260,6 @@ def test_process_parameter_validation():
         pearson2_process([0.0], [[-1.0]])
     with pytest.raises(ValueError):
         iid_uniform_process(0)
-
-
-def test_pearson2_constant_matches_gof_home():
-    from epsentropy.gof import k_d
-
-    assert pearson2_max_entropy_constant(3) == k_d(3)
 
 
 def test_custom_copula_marginal_callable():
