@@ -118,15 +118,21 @@ def unit_ball_volume(d: int) -> float:
 def ball_volume(d: int, eps: float) -> float:
     """Volume of a radius-eps ball in R^d, eps^d * unit_ball_volume(d).
 
-    Raises when the volume underflows to 0, since every estimate divides by it.
+    Raises when the volume underflows to 0, since every estimate divides by
+    it, and when it overflows, since no estimate is finite then.
     """
     vol1 = unit_ball_volume(d)
     eps = float(eps)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise ValueError(f"radius must be positive and finite, got {eps}")
-    vol = eps**d * vol1
+    try:
+        vol = eps**d * vol1
+    except OverflowError:
+        vol = math.inf
     if vol == 0.0:
         raise ValueError(f"ball volume underflows to 0 at radius {eps} in dimension {d}")
+    if vol == math.inf:
+        raise ValueError(f"ball volume overflows at radius {eps} in dimension {d}")
     return vol
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .core import SeriesSample, ball_volume, unit_ball_volume
 from .paircount import (
     _adjacency_masks,
-    _counts_1d,
+    _stacked_counts_1d,
     _uh_count_from_masks,
     close_pairs,
     count_close_pairs,
@@ -40,6 +40,7 @@ __all__ = [
     "EstimateReport",
     "ResidualKind",
     "estimate_report",
+    "estimate_reports",
     "residual",
     "residual_from_report",
     "suggest_eps",
@@ -146,33 +147,29 @@ def _zeta_from(q2_hat: float, u3: tuple[float, ...]) -> float:
     return z
 
 
-def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateReport:
-    """All estimates in one pass; pair structures at eps0 are reused per lag.
-
-    A 1-D sample is sorted once, and the pairs, the minimum distance and
-    every lag come from the windows of that sort.
-    """
-    n = sample.n
+def _checked_volumes(n: int, d: int, config: EstimateConfig) -> tuple[float, float]:
+    """ball_volume(d, eps) and ball_volume(d, eps0) ** 2 for a report on n
+    points in R^d, raising where the report would fail before counting."""
     if n < config.r + 4:
         raise ValueError(f"need n >= r + 4 (n={n}, r={config.r})")
-    eps = float(config.eps)
     eps0 = config.resolved_eps0
-    b_eps = ball_volume(sample.d, eps)
+    b_eps = ball_volume(d, float(config.eps))
     # u3[h] estimates E[p(X_1) p(X_{1+h})]; it saturates at
     # ball_volume(d, eps0)^-2 when every indicator fires
-    b2 = ball_volume(sample.d, eps0) ** 2
+    try:
+        b2 = ball_volume(d, eps0) ** 2
+    except OverflowError:
+        raise ValueError(f"squared ball volume overflows at eps0 {eps0} in dimension {d}") from None
     if b2 == 0.0:
-        raise ValueError(f"squared ball volume underflows to 0 at eps0 {eps0} in dimension {sample.d}")
+        raise ValueError(f"squared ball volume underflows to 0 at eps0 {eps0} in dimension {d}")
+    return b_eps, b2
 
-    lags = range(config.r + 1)
-    if sample.d == 1:
-        n_close, min_sq, counts = _counts_1d(sample.points[:, 0], eps, eps0, lags)
-        min_distance = math.sqrt(min_sq)
-    else:
-        pair_res = count_close_pairs(sample, eps)
-        n_close, min_distance = pair_res.n_pairs_close, pair_res.min_distance
-        adjacency = _adjacency_masks(n, *close_pairs(sample, eps0))
-        counts = [_uh_count_from_masks(adjacency, n, h) for h in lags]
+
+def _report_from_counts(n: int, d: int, config: EstimateConfig, volumes: tuple[float, float],
+                        n_close: int, min_distance: float, counts: list[int]) -> EstimateReport:
+    """The estimates from the exact pair and lagged-triple counts, with
+    volumes from _checked_volumes."""
+    b_eps, b2 = volumes
     qn = n_close / (n * (n - 1) / 2)
     q2 = qn / b_eps
     h2 = -math.log(max(q2, 1.0 / n))
@@ -180,13 +177,12 @@ def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateRep
     h3 = -0.5 * math.log(max(u3[0], 1.0 / n))
     z = _zeta_from(q2, u3)
     w = math.sqrt(2.0 * q2 / (n * b_eps) + 4.0 * max(z, 1.0 / n))
-    u = math.sqrt(2.0 * max(q2, 1.0 / n) / unit_ball_volume(sample.d))
-
+    u = math.sqrt(2.0 * max(q2, 1.0 / n) / unit_ball_volume(d))
     return EstimateReport(
         n=n,
-        d=sample.d,
-        eps=eps,
-        eps0=eps0,
+        d=d,
+        eps=float(config.eps),
+        eps0=config.resolved_eps0,
         r=config.r,
         n_pairs_close=n_close,
         min_distance=min_distance,
@@ -199,6 +195,48 @@ def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateRep
         w_hat=w,
         u_hat=u,
     )
+
+
+def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
+    """estimate_report of every sample, in order, counting 1-D samples together.
+
+    Every sample is checked before anything is counted.  1-D samples of
+    equal n are stacked and counted a bounded number of values at a time
+    (paircount._stacked_counts_1d): one sort along the rows, one window pass
+    and one 2-D operation per lag for all of them.  A d >= 2 sample keeps
+    its own pass: pairs at eps, then the pair structure at eps0 reused per
+    lag.  The counts are exact, so a report does not depend on the samples
+    it was counted with.
+    """
+    samples = list(samples)
+    volumes = [_checked_volumes(s.n, s.d, config) for s in samples]
+    eps, eps0 = float(config.eps), config.resolved_eps0
+    lags = range(config.r + 1)
+    counts: list = [None] * len(samples)
+    by_n: dict[int, list[int]] = {}
+    for i, s in enumerate(samples):
+        if s.d == 1:
+            by_n.setdefault(s.n, []).append(i)
+            continue
+        pair_res = count_close_pairs(s, eps)
+        adjacency = _adjacency_masks(s.n, *close_pairs(s, eps0))
+        counts[i] = (pair_res.n_pairs_close, pair_res.min_distance,
+                     [_uh_count_from_masks(adjacency, s.n, h) for h in lags])
+    for idx in by_n.values():
+        rows = _stacked_counts_1d([samples[i].points[:, 0] for i in idx], eps, eps0, lags)
+        for i, (n_close, min_sq, c) in zip(idx, rows):
+            counts[i] = (n_close, math.sqrt(min_sq), c)
+    return [_report_from_counts(s.n, s.d, config, v, *c)
+            for s, v, c in zip(samples, volumes, counts)]
+
+
+def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateReport:
+    """All estimates of one sample: estimate_reports((sample,), config)[0].
+
+    A 1-D sample is sorted once, and the pairs, the minimum distance and
+    every lag come from the windows of that sort.
+    """
+    return estimate_reports((sample,), config)[0]
 
 
 def residual_from_report(report: EstimateReport, truth: float, kind: ResidualKind) -> float:

@@ -3,8 +3,9 @@
 A study is a plan (process, sample size, estimation config, residual kind,
 base seed) executed over independent replicates.  Replicate i always draws
 from stream i of the base seed, so a single replicate can be re-run in
-isolation.  Replicates run one after another, in index order, on the
-calling thread.
+isolation.  Replicates are generated one after another, in index order,
+on the calling thread; their 1-D samples are then counted together, as
+stacks of bounded size.
 
 The three probes mirror the three limit regimes of the close-pair count:
 residual batches against N(0,1) when n eps^d is moderate-to-large, the
@@ -21,10 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import PoissonApprox
-from .core import RngStream, normal_cdf, unit_ball_volume
+from .core import RngStream, SeriesSample, normal_cdf, unit_ball_volume
 from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
-from .estimators import EstimateConfig, ResidualKind, estimate_report, residual_from_report
-from .paircount import count_close_pairs
+from .estimators import (
+    EstimateConfig,
+    ResidualKind,
+    _checked_volumes,
+    estimate_reports,
+    residual_from_report,
+)
+from .estimators import estimate_report  # noqa: F401  (unused; perfbench/spans.py wraps it)
+from .paircount import _checked_eps, _stacked_counts_1d, count_close_pairs
 from .processes import ProcessSpec, generate
 
 __all__ = [
@@ -220,15 +228,27 @@ def _replicate_map(n_sim: int, base_seed: int, task) -> list:
 
 
 def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
-    """Simulate n_sim residuals under the plan and KS-test them against N(0,1)."""
+    """Simulate n_sim residuals under the plan and KS-test them against N(0,1).
+
+    The replicates are generated one stream at a time, in index order; each
+    is checked as its report would check it, so a failure names the lowest
+    failing replicate.  Then all of them are counted at once
+    (estimate_reports stacks the 1-D ones).
+    """
     truth = plan.truth()
 
-    def one(i: int, stream: RngStream) -> float:
-        series = generate(plan.spec, plan.n, stream)
-        report = estimate_report(series.sample, plan.config)
-        return residual_from_report(report, truth, plan.kind)
+    def draw(i: int, stream: RngStream) -> SeriesSample:
+        sample = generate(plan.spec, plan.n, stream).sample
+        _checked_volumes(sample.n, sample.d, plan.config)
+        return sample
 
-    residuals = _replicate_map(plan.n_sim, plan.base_seed, one)
+    samples = _replicate_map(plan.n_sim, plan.base_seed, draw)
+    residuals = []
+    for i, report in enumerate(estimate_reports(samples, plan.config)):
+        try:
+            residuals.append(residual_from_report(report, truth, plan.kind))
+        except Exception as exc:
+            raise RuntimeError(f"replicate {i}: {exc}") from exc
     stat, p = ks_test(residuals, "std_normal")
     return SimulationOutcome(
         n=plan.n,
@@ -244,20 +264,26 @@ def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: i
                  q2: float | None) -> tuple[tuple[int, ...], float, int]:
     """Close-pair counts of n_sim replicates, their mean b_1(d) q2 n^2 eps^d / 2, and d.
 
-    q2 defaults to the process truth, which must then be available.
+    q2 defaults to the process truth, which must then be available.  1-D
+    replicates are counted as one stack (a bounded number of values at a
+    time); d >= 2 replicates one by one.
     """
     q2_truth = spec.truth.q2 if q2 is None else float(q2)
     if q2_truth is None:
         raise ValueError(f"process family {spec.family!r} carries no q2 truth; pass q2=")
     if n_sim < 1:
         raise ValueError(f"n_sim must be >= 1, got {n_sim}")
+    _checked_eps(eps)
+    if n < 2:
+        raise ValueError("pair counting needs at least two observations")
 
-    def one(i: int, stream: RngStream) -> tuple[int, int]:
-        sample = generate(spec, n, stream).sample
-        return sample.d, count_close_pairs(sample, eps).n_pairs_close
-
-    dims, counts = zip(*_replicate_map(n_sim, base_seed, one))
-    d = dims[0]
+    samples = _replicate_map(n_sim, base_seed, lambda i, stream: generate(spec, n, stream).sample)
+    d = samples[0].d
+    if d == 1:
+        rows = _stacked_counts_1d([s.points[:, 0] for s in samples], eps, eps, ())
+        counts = tuple(n_close for n_close, _, _ in rows)
+    else:
+        counts = tuple(count_close_pairs(s, eps).n_pairs_close for s in samples)
     mean = 0.5 * unit_ball_volume(d) * q2_truth * n * n * eps**d
     return counts, mean, d
 

@@ -10,7 +10,9 @@ confirms it, and bisection on the test finds the rest.
 
 * d = 1: the windows are the answer.  Pair counts, the minimum distance and
   the lagged triples come from them in O(n log n) time and O(n) memory,
-  exact by construction; a report sorts once.
+  exact by construction; a report sorts once.  A stack of equal-length
+  samples (the replicates of a study) is counted in the same pass, row by
+  row, with one sort along the rows and one array operation per lag.
 * d >= 2: the windows hold every pair within eps, because a rounded sum of
   nonnegative squares is never below its first term.  The full squared
   distances of the window pairs, added column by column from the left, are
@@ -41,6 +43,11 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 16
+# values per stack of 1-D samples counted together (_stacked_counts_1d): a
+# lag reads and writes about eight arrays of 8 bytes a value, which at 2^15
+# values stay within a 2 MiB L2 cache; 2^16 values counted 100 samples of
+# n = 500 about 20% slower on a 2-vCPU Xeon
+_STACK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -121,9 +128,10 @@ def _count_and_min_sq(pts: np.ndarray, eps_sq: float) -> tuple[int, float]:
     return count, min_sq
 
 
-def _sorted_min_sq(v: np.ndarray) -> float:
-    """Squared minimum distance of sorted values: the smallest adjacent gap."""
-    gap = float(np.diff(v).min())
+def _sorted_min_sq(v: np.ndarray):
+    """Squared minimum distance of values sorted along the last axis: the
+    smallest adjacent gap, squared, per row."""
+    gap = np.diff(v, axis=-1).min(axis=-1)
     return gap * gap
 
 
@@ -139,7 +147,7 @@ def _min_sq_distance(pts: np.ndarray) -> float:
     if n < 2:
         raise ValueError("minimum distance needs at least two points")
     if d == 1:
-        return _sorted_min_sq(np.sort(pts[:, 0]))
+        return float(_sorted_min_sq(np.sort(pts[:, 0])))
     by_col0 = pts[np.argsort(pts[:, 0], kind="stable")]
     u_sq = float(_sq_sum((by_col0[1:] - by_col0[:-1]).T).min())
     return _count_and_min_sq(pts, u_sq)[1]
@@ -148,33 +156,47 @@ def _min_sq_distance(pts: np.ndarray) -> float:
 def _rank_windows(v: np.ndarray, eps_sq: float) -> tuple[np.ndarray, np.ndarray]:
     """Windows [lo[p], hi[p]) of the sorted positions q within eps of v[p].
 
-    q is in the window iff fl(fl(v[q] - v[p])^2) <= eps_sq, the test every
-    other path applies, p itself included.  Rounding is monotone, so the
-    test is monotone in q on each side of p, and lo[p] is the one position
-    where it holds and fails one step to the left (or lo[p] == 0).  A
-    searchsorted seed at v - sqrt(eps_sq) counts only where the exact test
-    confirms it so; the rows where it is off (rounding at the boundary,
-    squares that underflow or overflow) are bisected on the test itself.
-    lo is nondecreasing in p, and by symmetry q > p lies in p's window iff
-    lo[q] <= p, so hi[p] counts the q with lo[q] <= p.
+    v is one sorted sample, or a (k, n) stack of independent samples each
+    sorted along its row; positions are flat indices into v.ravel(), so
+    they are row positions when v is 1-D.  q is in the window iff
+    fl(fl(v[q] - v[p])^2) <= eps_sq, the test every other path applies, p
+    itself included.  Rounding is monotone, so the test is monotone in q
+    on each side of p, and lo[p] is the one position of p's row where it
+    holds and fails one step to the left (or lo[p] is the row's start).  A
+    searchsorted seed at v - sqrt(eps_sq), one per row, counts only where
+    the exact test confirms it so; the positions where it is off (rounding
+    at the boundary, squares that underflow or overflow) are bisected
+    together on the test itself, each between its row's start and itself.
+    lo is nondecreasing along the flat positions and every lo stays in its
+    own row, so by symmetry q > p lies in p's window iff lo[q] <= p, and
+    hi[p] counts the q with lo[q] <= p.
     """
+    n = v.shape[-1]
+    flat = v.ravel()
+    rows = flat.reshape(-1, n)
+    start = np.arange(0, flat.shape[0], n)[:, None]
+
     def close(vp, q):
-        gap = vp - v[q]
+        gap = vp - flat[q]
         return gap * gap <= eps_sq
 
-    lo = np.searchsorted(v, v - math.sqrt(eps_sq))
-    miss = np.flatnonzero(~close(v, lo) | ((lo > 0) & close(v, np.maximum(lo - 1, 0))))
-    # invariant: position b is within eps of p, and no position below a is
-    vp = v[miss]
-    a = np.zeros(miss.shape[0], dtype=np.int64)
+    radius = math.sqrt(eps_sq)
+    lo = np.empty(rows.shape, dtype=np.int64)
+    for row, out, s in zip(rows, lo, start[:, 0]):
+        np.add(np.searchsorted(row, row - radius), s, out=out)
+    miss = np.flatnonzero(~close(rows, lo) | ((lo > start) & close(rows, np.maximum(lo - 1, start))))
+    # invariant: position b is within eps of p, and no position of its row below a is
+    vp = flat[miss]
+    a = miss - miss % n
     b = miss
     while np.any(a < b):
         mid = (a + b) // 2
         hit = close(vp, mid)
         b = np.where(hit, mid, b)
         a = np.where(hit, a, mid + 1)
+    lo = lo.ravel()
     lo[miss] = a
-    return lo, np.cumsum(np.bincount(lo, minlength=v.shape[0]))
+    return lo.reshape(v.shape), np.cumsum(np.bincount(lo, minlength=flat.shape[0])).reshape(v.shape)
 
 
 def _checked_eps(eps: float) -> float:
@@ -184,29 +206,40 @@ def _checked_eps(eps: float) -> float:
     return eps
 
 
-def _exact_sum(terms: np.ndarray, bound: int) -> int:
-    """Exact integer sum of int64 terms with |term| <= bound.
+def _exact_sum(terms: np.ndarray, bound: int) -> np.ndarray:
+    """Exact integer sums along the last axis of int64 terms with |term| <= bound.
 
     Chunks are short enough that no int64 partial sum can overflow; the
-    chunk sums add as Python ints.
+    chunk sums add as Python ints, in an object array of shape
+    terms.shape[:-1] (0-d for 1-D terms).
     """
     step = max(1, (2**63 - 1) // max(bound, 1))
-    return sum(int(terms[s : s + step].sum()) for s in range(0, terms.shape[0], step))
+    total = np.zeros(terms.shape[:-1], dtype=object)
+    for s in range(0, terms.shape[-1], step):
+        total += terms[..., s : s + step].sum(axis=-1)
+    return total
 
 
-def _lagged_triples(deg: np.ndarray, h: int, adj: np.ndarray | None, overlap: int) -> int:
+def _lagged_triples(deg: np.ndarray, h: int, adj: np.ndarray | None, overlap):
     """Triples (i, j, k), i <= n-h-2, j in N(i), k in N(i+h), j != k, both
     outside {i, i+h}: sum_i (deg_i - adj_i)(deg_{i+h} - adj_i) - overlap.
 
     deg_i = |N(i)| over all n indices, adj_i = [i+h in N(i)] for the anchors
     and overlap = sum_i |N(i) & N(i+h)|.  At lag 0 the two anchors coincide
     and the count is sum_i deg_i (deg_i - 1); adj and overlap are not read.
+    A 1-D deg gives an int.  A (k, n) deg holds k independent samples, with
+    adj of shape (k, n-h-1) and one overlap per row, and gives a list of k
+    ints.
     """
-    n = deg.shape[0]
+    n = deg.shape[-1]
     m = n - h - 1
     if h == 0:
-        return _exact_sum(deg[:m] * (deg[:m] - 1), n * n)
-    return _exact_sum((deg[:m] - adj) * (deg[h : h + m] - adj), n * n) - overlap
+        return _exact_sum(deg[..., :m] * (deg[..., :m] - 1), n * n).tolist()
+    terms = deg[..., :m] - adj
+    terms *= deg[..., h : h + m] - adj
+    total = _exact_sum(terms, n * n)
+    total -= overlap
+    return total.tolist()
 
 
 def min_interpoint_distance(sample: SeriesSample) -> float:
@@ -222,7 +255,7 @@ def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     if n < 2:
         raise ValueError("pair counting needs at least two observations")
     if sample.d == 1:
-        count, min_sq, _ = _counts_1d(pts[:, 0], eps, eps, ())
+        count, min_sq, _ = _counts_1d(pts.T, eps, eps, ())[0]
     else:
         eps_sq = eps * eps
         count, min_sq = _count_and_min_sq(pts, eps_sq)
@@ -291,40 +324,69 @@ def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
         raise ValueError(f"need n >= h + 4 (n={sample.n}, h={h})")
     eps0 = _checked_eps(eps0)
     if sample.d == 1:
-        return _counts_1d(sample.points[:, 0], eps0, eps0, (h,))[2][0]
+        return _counts_1d(sample.points.T, eps0, eps0, (h,))[0][2][0]
     adjacency = _adjacency_masks(sample.n, *close_pairs(sample, eps0))
     return _uh_count_from_masks(adjacency, sample.n, h)
 
 
-def _counts_1d(x: np.ndarray, eps: float, eps0: float, lags) -> tuple[int, float, list[int]]:
-    """Pairs within eps, the squared minimum distance and the lagged-triple
-    counts at eps0, one per lag, of a 1-D sample from one sort.
+def _counts_1d(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, float, list[int]]]:
+    """Per row of a (k, n) stack of independent 1-D samples: the pairs within
+    eps, the squared minimum distance and the lagged-triple counts at eps0,
+    one per lag, all from one sort along the rows.
 
-    The caller checks eps, eps0 and 0 <= h <= n - 4.  The windows at eps0
-    give the triples, and the pairs too when the radii square alike;
-    otherwise a second window pass on the same sorted values gives the
-    pairs.  A window depends only on the value, so the order of tied values
-    in the sort changes no count.  With W(i) the window of i (i itself
-    included), deg_i = |W(i)| - 1, adj = [X_i ~ X_{i+h}], and the neighbours
-    the two anchors share outside {i, i+h} are |W(i) & W(i+h)| - 2 adj.
-    Each lag is O(n).
+    A single sample is the stack of one row.  The caller checks eps, eps0,
+    n >= 2 and 0 <= h <= n - 4.  The windows at eps0 give the triples, and
+    the pairs too when the radii square alike; otherwise a second window
+    pass on the same sorted values gives the pairs.  A window depends only
+    on the value, so the order of tied values in the sort changes no count.
+    With W(i) the window of i (i itself included), deg_i = |W(i)| - 1,
+    adj = [X_i ~ X_{i+h}], and the neighbours the two anchors share outside
+    {i, i+h} are |W(i) & W(i+h)| - 2 adj.  Each lag is O(k n).
     """
-    n = x.shape[0]
-    order = np.argsort(x)
-    v = x[order]
+    k, n = x.shape
+    # flat index of every sorted position's value in x.ravel()
+    order = np.argsort(x, axis=1)
+    order += np.arange(0, k * n, n)[:, None]
+    v = x.ravel()[order]
     eps_sq, eps0_sq = eps * eps, eps0 * eps0
     lo_s, hi_s = _rank_windows(v, eps0_sq)
     lo_pairs = lo_s if eps_sq == eps0_sq else _rank_windows(v, eps_sq)[0]
-    n_close = int((np.arange(n) - lo_pairs).sum())
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    lo, hi = lo_s[rank], hi_s[rank]
+    # sum over each row of (p - lo[p]) in row positions
+    n_close = n * (n - 1) // 2 - (lo_pairs.sum(axis=1) - n * np.arange(0, k * n, n))
+    lo = np.empty(k * n, dtype=np.int64)
+    hi = np.empty(k * n, dtype=np.int64)
+    lo[order] = lo_s
+    hi[order] = hi_s
+    lo, hi = lo.reshape(k, n), hi.reshape(k, n)
     deg = hi - lo - 1
     counts = []
     for h in lags:
+        if h == 0:
+            counts.append(_lagged_triples(deg, 0, None, None))
+            continue
         m = n - h - 1
-        gap = x[:m] - x[h : h + m]
-        adj = (gap * gap <= eps0_sq).astype(np.int64)
-        shared = np.maximum(0, np.minimum(hi[:m], hi[h : h + m]) - np.maximum(lo[:m], lo[h : h + m]))
-        counts.append(_lagged_triples(deg, h, adj, int(shared.sum()) - 2 * int(adj.sum())))
-    return n_close, _sorted_min_sq(v), counts
+        sq = x[:, :m] - x[:, h : h + m]
+        sq *= sq
+        adj = (sq <= eps0_sq).astype(np.int64)
+        shared = np.minimum(hi[:, :m], hi[:, h : h + m])
+        shared -= np.maximum(lo[:, :m], lo[:, h : h + m])
+        np.maximum(shared, 0, out=shared)
+        overlap = shared.sum(axis=1) - 2 * adj.sum(axis=1)
+        counts.append(_lagged_triples(deg, h, adj, overlap))
+    return [
+        (c, min_sq, [lag[r] for lag in counts])
+        for r, (c, min_sq) in enumerate(zip(n_close.tolist(), _sorted_min_sq(v).tolist()))
+    ]
+
+
+def _stacked_counts_1d(rows, eps: float, eps0: float, lags) -> list[tuple[int, float, list[int]]]:
+    """_counts_1d of each of a list of equal-length 1-D samples, in order.
+
+    The samples are stacked _STACK_VALUES values at a time (a longer sample
+    alone), so the counting memory stays bounded however many there are.
+    """
+    per_stack = max(1, _STACK_VALUES // rows[0].shape[0])
+    out = []
+    for s in range(0, len(rows), per_stack):
+        out += _counts_1d(np.stack(rows[s : s + per_stack]), eps, eps0, lags)
+    return out

@@ -340,6 +340,21 @@ def test_radius_whose_ball_volume_underflows_is_a_clean_failure(tmp_path, capsys
     assert "underflows to 0" in err and f"dimension {d}" in err
 
 
+@pytest.mark.parametrize("argv,d", [
+    (["estimate", "--eps", "1e200"], 2),
+    (["gof", "--eps", "1e200"], 2),
+    (["keys", "--eps", "1e200", "--size", "2"], 2),
+    (["estimate", "--eps", "1e300"], 1),  # the squared eps0 volume overflows
+])
+def test_radius_whose_ball_volume_overflows_is_a_clean_failure(tmp_path, capsys, argv, d):
+    path = str(tmp_path / "sample.csv")
+    write_sample_csv(SeriesSample(RngStream(502, 0).generator().normal(size=(6, d))), path)
+    assert cli.main(argv[:1] + ["--input", path] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows at " in err and f"dimension {d}" in err
+
+
 def test_argparse_failures_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", "--eps", "0.1"])  # --input missing

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,13 @@ def test_ball_volume_rejects_bad_radius(eps):
 @pytest.mark.parametrize("d,eps", [(2, 1e-170), (3, 1e-110), (8, 1e-45)])
 def test_ball_volume_rejects_underflow(d, eps):
     with pytest.raises(ValueError, match=rf"underflows to 0 at radius {eps} in dimension {d}"):
+        ball_volume(d, eps)
+
+
+@pytest.mark.parametrize("d,eps", [(2, 1e200), (1, 1e308), (3, 1e110), (8, 1e40)])
+def test_ball_volume_rejects_overflow(d, eps):
+    # eps**d overflows (raising OverflowError), or eps**d * b_1(d) rounds to inf
+    with pytest.raises(ValueError, match=re.escape(f"overflows at radius {eps} in dimension {d}")):
         ball_volume(d, eps)
 
 

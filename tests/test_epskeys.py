@@ -153,6 +153,12 @@ def test_radius_whose_ball_volume_underflows_is_rejected():
         rank_candidates(table, [(0, 1)], 1e-170)
 
 
+def test_radius_whose_ball_volume_overflows_is_rejected():
+    table = _int_table(37, 6, 2)
+    with pytest.raises(ValueError, match=r"overflows at radius 1e\+200 in dimension 2"):
+        rank_candidates(table, [(0, 1)], 1e200)
+
+
 def test_candidate_is_hashable_value_object():
     a = KeyCandidate(attributes=(0, 1), n_pairs_close=3, q2_hat=0.2, p_key=0.05)
     b = KeyCandidate(attributes=(0, 1), n_pairs_close=3, q2_hat=0.2, p_key=0.05)

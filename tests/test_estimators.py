@@ -10,6 +10,7 @@ from epsentropy.estimators import (
     EstimateReport,
     ResidualKind,
     estimate_report,
+    estimate_reports,
     residual,
     residual_from_report,
     suggest_eps,
@@ -193,6 +194,38 @@ def test_1d_report_matches_separate_calls(eps, eps0, duplicates):
     assert rep.u3_hat == tuple(_u3_from_count(s, h, eps0) for h in range(7))
 
 
+def _bits(report):
+    """Every field of a report, floats as their exact hex form."""
+    def exact(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, tuple):
+            return tuple(exact(t) for t in v)
+        return v
+    return {k: exact(getattr(report, k)) for k in report.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("eps0", [None, 0.05, 0.4])
+def test_reports_of_many_samples_match_one_by_one(eps0):
+    gen = RngStream(20, 0).generator()
+    samples = [SeriesSample(gen.normal(size=n)) for n in (40, 40, 57, 40, 57, 9)]
+    samples.append(SeriesSample(np.round(gen.normal(size=40) * 8) / 8))  # ties and gaps of eps
+    cfg = EstimateConfig(eps=0.25, eps0=eps0, r=5)
+    reports = estimate_reports(samples, cfg)
+    assert [_bits(r) for r in reports] == [_bits(estimate_report(s, cfg)) for s in samples]
+    # a d = 2 sample keeps its own pass and its place in the list
+    mixed = samples[:2] + [_sample(21, 30, 2)] + samples[2:]
+    assert [_bits(r) for r in estimate_reports(mixed, cfg)] == (
+        [_bits(r) for r in reports[:2]] + [_bits(estimate_report(mixed[2], cfg))]
+        + [_bits(r) for r in reports[2:]])
+
+
+def test_reports_check_every_sample_before_counting():
+    assert estimate_reports([], EstimateConfig(eps=0.1)) == []
+    with pytest.raises(ValueError, match="need n >= r"):
+        estimate_reports([_sample(19, 40), _sample(19, 6)], EstimateConfig(eps=0.1, r=3))
+
+
 def test_report_rejects_radii_whose_volumes_underflow():
     # the 1-D ball volume at eps0 = 1e-170 is 2e-170, but its square is 0
     one = _sample(19, 6)
@@ -201,6 +234,18 @@ def test_report_rejects_radii_whose_volumes_underflow():
     two = _sample(19, 6, 2)
     with pytest.raises(ValueError, match="underflows to 0 at radius 1e-170 in dimension 2"):
         estimate_report(two, EstimateConfig(eps=1e-170))
+
+
+def test_report_rejects_radii_whose_volumes_overflow():
+    # the 1-D ball volume at eps0 = 1e300 is 2e300, but its square overflows
+    one = _sample(19, 6)
+    with pytest.raises(ValueError, match=r"squared ball volume overflows at eps0 1e\+300 in dimension 1"):
+        estimate_report(one, EstimateConfig(eps=1e300))
+    with pytest.raises(ValueError, match=r"squared ball volume overflows at eps0 1e\+300 in dimension 1"):
+        estimate_report(one, EstimateConfig(eps=0.1, eps0=1e300))
+    two = _sample(19, 6, 2)
+    with pytest.raises(ValueError, match=r"ball volume overflows at radius 1e\+200 in dimension 2"):
+        estimate_report(two, EstimateConfig(eps=1e200))
 
 
 def test_report_needs_enough_observations():

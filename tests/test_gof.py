@@ -149,6 +149,12 @@ def test_radius_whose_ball_volume_underflows_is_rejected():
         gof_statistic(s, 1e-170)
 
 
+def test_radius_whose_ball_volume_overflows_is_rejected():
+    s = SeriesSample(RngStream(38, 0).generator().normal(size=(6, 2)))
+    with pytest.raises(ValueError, match=r"overflows at radius 1e\+200 in dimension 2"):
+        gof_statistic(s, 1e200)
+
+
 def test_delta_validation():
     s = SeriesSample(RngStream(53, 0).generator().random(50))
     for delta in (0.0, 1.0, -0.2):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -7,8 +8,9 @@ import pytest
 import scipy.special as sps
 import scipy.stats as st
 
+from epsentropy import montecarlo, paircount
 from epsentropy.core import RngStream, standard_normals
-from epsentropy.estimators import EstimateConfig, ResidualKind
+from epsentropy.estimators import EstimateConfig, ResidualKind, estimate_report, residual_from_report
 from epsentropy.montecarlo import (
     DEFAULT_SEED,
     SimulationPlan,
@@ -23,6 +25,7 @@ from epsentropy.montecarlo import (
 from epsentropy.processes import (
     ProcessSpec,
     ProcessTruth,
+    generate,
     iid_uniform_process,
     lognormal_onedep_process,
     ma2_normal_process,
@@ -164,9 +167,6 @@ def test_residual_study_shape_and_determinism():
 
 
 def test_residual_study_single_replicate_matches_by_hand():
-    from epsentropy.estimators import estimate_report, residual_from_report
-    from epsentropy.processes import generate
-
     plan = _plan(spec=iid_uniform_process(1), kind="q_sqrtn", n=60, n_sim=3,
                  config=EstimateConfig(eps=0.05), base_seed=91)
     out = run_residual_study(plan)
@@ -192,9 +192,61 @@ def test_replicate_failures_carry_the_replicate_id():
         run_residual_study(plan)
 
 
+def test_residual_study_over_the_stack_budget_matches_one_by_one():
+    # 250 replicates of n = 700 fill more than two stacks
+    plan = _plan(n=700, n_sim=250, config=EstimateConfig(eps=0.1, eps0=0.12, r=5), base_seed=11)
+    assert plan.n * plan.n_sim > 2 * paircount._STACK_VALUES
+    out = run_residual_study(plan)
+    one_by_one = tuple(
+        residual_from_report(
+            estimate_report(generate(plan.spec, plan.n, RngStream(11, i)).sample, plan.config),
+            plan.truth(), plan.kind)
+        for i in range(plan.n_sim))
+    assert [r.hex() for r in out.residuals] == [r.hex() for r in one_by_one]
+    # the same residuals as before replicates were stacked
+    digest = hashlib.sha256(" ".join(r.hex() for r in out.residuals).encode()).hexdigest()
+    assert digest == "c025067cdaa12f60e14723f12d88fa5d9087be1235e9645e65dc57aac3f33e9e"
+
+
+def test_generation_failure_names_its_replicate(monkeypatch):
+    def failing(spec, n, stream):
+        if stream.stream_id == 3:
+            raise ValueError("generator broke")
+        return generate(spec, n, stream)
+
+    monkeypatch.setattr(montecarlo, "generate", failing)
+    with pytest.raises(RuntimeError, match="^replicate 3: generator broke$"):
+        run_residual_study(_plan())
+    with pytest.raises(RuntimeError, match="^replicate 3: generator broke$"):
+        probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.01, n_sim=5)
+
+
 # ---------------------------------------------------------------------------
 # regime probes
 # ---------------------------------------------------------------------------
+
+def _counts_one_by_one(spec, n, eps, n_sim, base_seed):
+    return tuple(
+        paircount.count_close_pairs(generate(spec, n, RngStream(base_seed, i)).sample, eps).n_pairs_close
+        for i in range(n_sim))
+
+
+@pytest.mark.parametrize("d,eps", [(1, 0.00125), (2, 0.03)])
+def test_probe_counts_match_one_by_one(d, eps):
+    spec = iid_uniform_process(d)
+    out = probe_poisson_regime(spec, n=40, eps=eps, n_sim=400, base_seed=55)
+    assert out.counts == _counts_one_by_one(spec, 40, eps, 400, 55)
+
+
+def test_probes_match_their_values_before_stacking():
+    # the seeds of the probe tests below, as computed one replicate at a time
+    out = probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.00125, n_sim=400, base_seed=55)
+    assert sum(out.counts) == 808
+    assert (out.tv_distance, out.count_mean, out.count_var) == (
+        0.04460256867769667, 2.02, 2.109874686716792)
+    assert probe_moments(iid_uniform_process(1), n=500, eps=0.001, n_sim=300, base_seed=56) == (
+        0.9949066666666666, 1.0717269119286512)
+
 
 def test_poisson_probe_mean_and_distance():
     out = probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.00125, n_sim=400, base_seed=55)

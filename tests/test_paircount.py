@@ -300,6 +300,58 @@ def test_exact_sum_past_int64():
     assert _exact_sum(terms, 2**62) == 5 * 2**62
 
 
+def test_exact_sum_rows_past_int64():
+    # every row near the bound, so each row's sum wraps int64 unless chunked
+    from epsentropy.paircount import _exact_sum
+
+    terms = np.array([[2**62] * 5, [-(2**62)] * 5, [2**62, -(2**62)] * 2 + [2**62 - 1]],
+                     dtype=np.int64)
+    assert _exact_sum(terms, 2**62).tolist() == [5 * 2**62, -5 * 2**62, 2**62 - 1]
+
+
+# ---------------------------------------------------------------------------
+# stacked 1-D counter: every row counts as if alone
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _stack_1d(draw):
+    """(x, eps, eps0, r, h): k rows of n values on a 2^-10 grid, so ties,
+    duplicates and gaps of exactly eps all occur; h is a lag in 0..r."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(4, 60))
+    span = draw(st.sampled_from([8, 64, 1024]))
+    ticks = draw(st.lists(st.integers(-span, span), min_size=k * n, max_size=k * n))
+    x = np.array(ticks, dtype=np.float64).reshape(k, n) * 2.0**-10
+    eps = draw(st.integers(1, 64)) * 2.0**-10
+    eps0 = eps if draw(st.booleans()) else draw(st.integers(1, 64)) * 2.0**-10
+    r = draw(st.integers(0, n - 4))
+    return x, eps, eps0, r, draw(st.integers(0, r))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_stack_1d())
+def test_stacked_counts_match_each_row_alone(case):
+    x, eps, eps0, r, h = case
+    lags = range(r + 1)
+    rows = paircount._counts_1d(x, eps, eps0, lags)
+    assert len(rows) == x.shape[0]
+    for row, (n_close, min_sq, counts) in zip(x, rows):
+        assert (n_close, min_sq, counts) == paircount._counts_1d(row[None], eps, eps0, lags)[0]
+        col = row[:, None]
+        assert n_close == brute_pair_count(col, eps)
+        assert math.sqrt(min_sq) == brute_min_distance(col)
+        assert len(counts) == r + 1
+        assert counts[h] == brute_uh_count(col, h, eps0)
+
+
+def test_stacked_counts_are_bounded_chunks(monkeypatch):
+    # three stacks of two rows and one of one row give the same counts as one stack
+    x = np.round(RngStream(68, 0).generator().normal(size=(7, 50)) * 8) / 8
+    whole = paircount._counts_1d(x, 0.25, 0.125, range(5))
+    monkeypatch.setattr(paircount, "_STACK_VALUES", 100)
+    assert paircount._stacked_counts_1d(list(x), 0.25, 0.125, range(5)) == whole
+
+
 # ---------------------------------------------------------------------------
 # 1-D rank windows against brute force on hostile inputs
 # ---------------------------------------------------------------------------
@@ -454,6 +506,22 @@ def test_rank_windows_match_full_bisection(name):
         with np.errstate(over="ignore"):
             seed = np.searchsorted(v, v - math.sqrt(eps * eps))
         assert np.any(seed != ref_lo)
+
+
+@pytest.mark.parametrize("name", list(_window_cases()))
+def test_stacked_rank_windows_match_full_bisection(name):
+    # three rows of 1000: the bisection of each row's misses starts at its row
+    x, eps = _window_cases()[name]
+    v = np.sort(x.reshape(3, 1000), axis=1)
+    lo, hi = paircount._rank_windows(v, eps * eps)
+    start = np.arange(0, 3000, 1000)[:, None]
+    ref = [bisect_rank_windows(row, eps * eps) for row in v]
+    assert np.array_equal(lo - start, [r[0] for r in ref])
+    assert np.array_equal(hi - start, [r[1] for r in ref])
+    if name.startswith(("lattice", "underflow")):
+        with np.errstate(over="ignore"):
+            seed = np.searchsorted(v[2], v[2] - math.sqrt(eps * eps))
+        assert np.any(seed != ref[2][0])
 
 
 # ---------------------------------------------------------------------------
