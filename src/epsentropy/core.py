@@ -28,7 +28,6 @@ __all__ = [
     "unit_ball_volume",
     "normal_quantile",
     "normal_cdf",
-    "standard_normals",
     "worker_count",
     "read_sample_csv",
     "write_sample_csv",
@@ -289,18 +288,6 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
-
-
-def standard_normals(gen: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal draws by inverse-CDF transform of uniforms.
-
-    Deterministic given the generator state (no rejection step), so a stream
-    of uniforms maps to the same normals on every platform.  The uniform grid
-    point 0.0 is nudged to the smallest representable grid value.
-    """
-    u = gen.random(size)
-    u[u == 0.0] = 2.0**-54
-    return normal_quantile(u)
 
 
 def worker_count(n_tasks: int) -> int:

@@ -3,9 +3,12 @@
 A study is a plan (process, sample size, estimation config, residual kind,
 base seed) executed over independent replicates.  Replicate i always draws
 from stream i of the base seed, so a single replicate can be re-run in
-isolation.  Replicates are generated one after another, in index order,
-on the calling thread; their 1-D samples are then counted together, as
-stacks of bounded size.
+isolation.  Generation has two layers (processes.Sampler): each
+replicate's uniforms are drawn one stream after another, in index order, on
+the calling thread; then the drawn rows are shaped into samples a stack at
+a time (at most paircount._STACK_VALUES values), so normal_quantile and the
+other elementwise work run once per stack.  The 1-D samples are then
+counted together, again as stacks of bounded size.
 
 The three probes mirror the three limit regimes of the close-pair count:
 residual batches against N(0,1) when n eps^d is moderate-to-large, the
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import PoissonApprox
-from .core import RngStream, SeriesSample, normal_cdf, unit_ball_volume
+from .core import RngStream, SeriesSample, ball_volume, normal_cdf, unit_ball_volume
 from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
 from .estimators import (
     EstimateConfig,
@@ -32,8 +35,9 @@ from .estimators import (
     residual_from_report,
 )
 from .estimators import estimate_report  # noqa: F401  (unused; perfbench/spans.py wraps it)
-from .paircount import _checked_eps, _stacked_counts_1d, count_close_pairs
-from .processes import ProcessSpec, generate
+from .paircount import _STACK_VALUES, _checked_eps, _stacked_counts_1d, count_close_pairs
+from .processes import ProcessSpec, Sampler, sampler
+from .processes import generate  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 __all__ = [
     "SimulationPlan",
@@ -227,22 +231,48 @@ def _replicate_map(n_sim: int, base_seed: int, task) -> list:
     return results
 
 
+def _shaped(gen: Sampler, rows: list) -> list[SeriesSample]:
+    """The samples of the drawn rows, in order, shaped _STACK_VALUES values at a time.
+
+    Each stack's rows leave the list as it is shaped, so the drawn uniforms
+    and the samples together stay near the size of one of them.  When a
+    stack fails, its rows are shaped one by one to name the lowest failing
+    replicate.
+    """
+    per_stack = max(1, _STACK_VALUES // gen.width)
+    samples: list[SeriesSample] = []
+    while rows:
+        block = np.stack(rows[:per_stack])
+        del rows[:per_stack]
+        try:
+            samples += gen.shape(block)
+        except Exception:
+            for i, row in enumerate(block, start=len(samples)):
+                try:
+                    gen.shape(row[None])
+                except Exception as exc:
+                    raise RuntimeError(f"replicate {i}: {exc}") from exc
+            raise
+    return samples
+
+
 def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
     """Simulate n_sim residuals under the plan and KS-test them against N(0,1).
 
-    The replicates are generated one stream at a time, in index order; each
-    is checked as its report would check it, so a failure names the lowest
-    failing replicate.  Then all of them are counted at once
-    (estimate_reports stacks the 1-D ones).
+    The replicates' uniforms are drawn one stream at a time, in index order,
+    and each replicate is checked as its report would check it, so a failure
+    names the lowest failing replicate.  Then they are shaped into samples
+    and counted a stack at a time (estimate_reports stacks the 1-D ones).
     """
     truth = plan.truth()
+    gen = sampler(plan.spec, plan.n)
 
-    def draw(i: int, stream: RngStream) -> SeriesSample:
-        sample = generate(plan.spec, plan.n, stream).sample
-        _checked_volumes(sample.n, sample.d, plan.config)
-        return sample
+    def draw(i: int, stream: RngStream) -> np.ndarray:
+        u = gen.draw(stream)
+        _checked_volumes(plan.n, gen.d, plan.config)
+        return u
 
-    samples = _replicate_map(plan.n_sim, plan.base_seed, draw)
+    samples = _shaped(gen, _replicate_map(plan.n_sim, plan.base_seed, draw))
     residuals = []
     for i, report in enumerate(estimate_reports(samples, plan.config)):
         try:
@@ -276,9 +306,11 @@ def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: i
     _checked_eps(eps)
     if n < 2:
         raise ValueError("pair counting needs at least two observations")
+    gen = sampler(spec, n)
+    d = gen.d
+    ball_volume(d, eps)  # raises, naming eps and d, where eps**d under- or overflows
 
-    samples = _replicate_map(n_sim, base_seed, lambda i, stream: generate(spec, n, stream).sample)
-    d = samples[0].d
+    samples = _shaped(gen, _replicate_map(n_sim, base_seed, lambda i, stream: gen.draw(stream)))
     if d == 1:
         rows = _stacked_counts_1d([s.points[:, 0] for s in samples], eps, eps, ())
         counts = tuple(n_close for n_close, _, _ in rows)

@@ -6,6 +6,12 @@ closed form, carries the population values of the estimated functionals
 (q2 = integral p^2, h2 = -log q2, q3 = integral p^3, h3 = -(1/2) log q3,
 and the long-run density variance zeta when it is known exactly).
 
+Each family is written once, as two layers (a Sampler): a per-stream draw
+of the series' uniforms, and a shape step that turns a (k, width) block of
+drawn rows into k samples, running the elementwise work once per block.
+generate and the gen_* functions are the k = 1 case; a replicate study
+draws many streams and shapes them together, with the same bits per row.
+
 Families:
 
 * gaussian_ma      X_t = sum_k theta_k Z_{t-k}, Gaussian innovations
@@ -20,17 +26,19 @@ Families:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, SeriesSample, standard_normals, normal_quantile
+from .core import RngStream, SeriesSample, normal_quantile
 from .gof import k_d
 
 __all__ = [
     "ProcessTruth",
     "ProcessSpec",
     "GeneratedSeries",
+    "Sampler",
     "gen_gaussian_ma",
     "gen_lognormal_ma",
     "gen_cauchy_ratio",
@@ -38,6 +46,7 @@ __all__ = [
     "gen_pearson2",
     "gen_iid_uniform",
     "generate",
+    "sampler",
     "gaussian_ma_process",
     "lognormal_ma_process",
     "cauchy_ratio_process",
@@ -211,23 +220,45 @@ def copula_onedep_process(theta: float, marginal: str = "uniform") -> ProcessSpe
 
 
 # ---------------------------------------------------------------------------
-# generators
+# generators: a per-stream draw and a stacked shape
 # ---------------------------------------------------------------------------
 
 
-def gen_gaussian_ma(theta, n: int, rng: RngStream) -> GeneratedSeries:
-    """Gaussian moving average X_t = sum_{k=0}^{m} theta_k Z_{t-k}.
+@dataclass(frozen=True)
+class Sampler:
+    """One family at one series length, split into two layers.
 
-    Marginal N(0, sum theta_k^2); the sequence is len(theta)-1 dependent.
+    draw(rng) is the per-stream step: the `width` uniforms one series
+    consumes, with the grid point 0.0 nudged to 2^-54 where a normal
+    quantile or a log follows.  Normals come from the quantile of uniforms,
+    with no rejection step, so a stream maps to the same values on every
+    platform.  shape(block) is the stack step: a (k, width)
+    block of drawn rows becomes k samples, with the elementwise work
+    (normal_quantile, exp, the Clayton inverse, a named copula marginal) run
+    once over the block.  Elementwise ufuncs give each value the same bits
+    in a stack as alone, so row j of a block shapes exactly as that row
+    would alone; the moving-average filter, the pearson2 window algebra and
+    a caller's copula marginal still run per row.  generate is k = 1.
     """
-    spec = gaussian_ma_process(theta)
-    return GeneratedSeries(sample=SeriesSample(_ma_path(spec, n, rng)), spec=spec, stream=rng)
 
+    spec: ProcessSpec
+    d: int
+    width: int
+    nudge: bool
+    transform: Callable[[np.ndarray], Iterable[np.ndarray]]
 
-def gen_lognormal_ma(theta, n: int, rng: RngStream) -> GeneratedSeries:
-    """exp of a Gaussian moving average; log-normal marginal."""
-    spec = lognormal_ma_process(theta)
-    return GeneratedSeries(sample=SeriesSample(np.exp(_ma_path(spec, n, rng))), spec=spec, stream=rng)
+    def draw(self, rng: RngStream) -> np.ndarray:
+        u = rng.generator().random(self.width)
+        if self.nudge:
+            u[u == 0.0] = 2.0**-54
+        return u
+
+    def shape(self, block: np.ndarray) -> list[SeriesSample]:
+        return [SeriesSample(points) for points in self.transform(block)]
+
+    def generate(self, rng: RngStream) -> GeneratedSeries:
+        """One series from one stream: shape of a one-row block."""
+        return GeneratedSeries(sample=self.shape(self.draw(rng)[None])[0], spec=self.spec, stream=rng)
 
 
 def _require_n(n: int) -> int:
@@ -236,23 +267,48 @@ def _require_n(n: int) -> int:
     return int(n)
 
 
-def _ma_path(spec: ProcessSpec, n: int, rng: RngStream) -> np.ndarray:
+def _ma_sampler(theta, n: int, lognormal: bool) -> Sampler:
+    spec = (lognormal_ma_process if lognormal else gaussian_ma_process)(theta)
     n = _require_n(n)
-    theta = np.asarray(spec.params["theta"], dtype=np.float64)
-    m = theta.size - 1
-    z = standard_normals(rng.generator(), n + m)
-    return np.convolve(z, theta, mode="valid")
+    weights = np.asarray(spec.params["theta"], dtype=np.float64)
+
+    def transform(block):
+        # per row: a stacked slice-sum filter does not always round as np.convolve does
+        paths = [np.convolve(z, weights, mode="valid") for z in normal_quantile(block)]
+        return np.exp(np.stack(paths)) if lognormal else paths
+
+    return Sampler(spec, 1, n + spec.m, True, transform)
+
+
+def gen_gaussian_ma(theta, n: int, rng: RngStream) -> GeneratedSeries:
+    """Gaussian moving average X_t = sum_{k=0}^{m} theta_k Z_{t-k}.
+
+    Marginal N(0, sum theta_k^2); the sequence is len(theta)-1 dependent.
+    """
+    return _ma_sampler(theta, n, lognormal=False).generate(rng)
+
+
+def gen_lognormal_ma(theta, n: int, rng: RngStream) -> GeneratedSeries:
+    """exp of a Gaussian moving average; log-normal marginal."""
+    return _ma_sampler(theta, n, lognormal=True).generate(rng)
+
+
+def _cauchy_sampler(n: int) -> Sampler:
+    n = _require_n(n)
+
+    def transform(block):
+        z = normal_quantile(block)
+        den = z[:, 1:]
+        # an exact-zero innovation is a 2^-53 grid artifact; keep the path finite
+        den = np.where(den == 0.0, 2.0**-30, den)
+        return z[:, :n] / den
+
+    return Sampler(cauchy_ratio_process(), 1, n + 1, True, transform)
 
 
 def gen_cauchy_ratio(n: int, rng: RngStream) -> GeneratedSeries:
     """Ratio of consecutive Gaussians: standard Cauchy marginal, 1-dependent."""
-    n = _require_n(n)
-    spec = cauchy_ratio_process()
-    z = standard_normals(rng.generator(), n + 1)
-    den = z[1:]
-    # an exact-zero innovation is a 2^-53 grid artifact; keep the path finite
-    den = np.where(den == 0.0, 2.0**-30, den)
-    return GeneratedSeries(sample=SeriesSample(z[:n] / den), spec=spec, stream=rng)
+    return _cauchy_sampler(n).generate(rng)
 
 
 def _clayton_conditional_inverse(u: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
@@ -337,21 +393,12 @@ _COPULA_TRUTHS = {
 }
 
 
-def gen_copula_onedep(marginal_quantile, theta: float, n: int, rng: RngStream) -> GeneratedSeries:
-    """1-dependent sequence through a Clayton copula conditional inverse.
-
-    Y_t = F^{-1}(C^{-1}_{2|1}(U_{t+1} | U_t)) with iid uniforms U: each Y_t
-    is a function of (U_t, U_{t+1}) only, so the sequence is 1-dependent and
-    the marginal is exactly F.  theta = 0 degenerates to iid draws from F.
-
-    marginal_quantile may be a vectorized callable or one of the registered
-    marginal names (uniform, normal, lognormal, pearson2).
-    """
+def _copula_sampler(marginal_quantile, theta: float, n: int) -> Sampler:
     n = _require_n(n)
-    if isinstance(marginal_quantile, str):
-        name = marginal_quantile
-        spec = copula_onedep_process(theta, name)
-        quantile = COPULA_MARGINALS[name]
+    named = isinstance(marginal_quantile, str)
+    if named:
+        spec = copula_onedep_process(theta, marginal_quantile)
+        quantile = COPULA_MARGINALS[marginal_quantile]
     else:
         spec = ProcessSpec(
             family="copula_onedep",
@@ -362,11 +409,49 @@ def gen_copula_onedep(marginal_quantile, theta: float, n: int, rng: RngStream) -
         quantile = marginal_quantile
         if not 0.0 <= float(theta) <= 100.0:
             raise ValueError(f"Clayton parameter must lie in [0, 100], got {theta}")
-    gen = rng.generator()
-    u = gen.random(n + 1)
-    u[u == 0.0] = 2.0**-54
-    w = _clayton_conditional_inverse(u[:-1], u[1:], float(theta))
-    return GeneratedSeries(sample=SeriesSample(quantile(w)), spec=spec, stream=rng)
+    theta = float(theta)
+
+    def transform(block):
+        w = _clayton_conditional_inverse(block[:, :-1], block[:, 1:], theta)
+        # a caller's marginal sees one series at a time
+        return quantile(w) if named else [quantile(row) for row in w]
+
+    return Sampler(spec, 1, n + 1, True, transform)
+
+
+def gen_copula_onedep(marginal_quantile, theta: float, n: int, rng: RngStream) -> GeneratedSeries:
+    """1-dependent sequence through a Clayton copula conditional inverse.
+
+    Y_t = F^{-1}(C^{-1}_{2|1}(U_{t+1} | U_t)) with iid uniforms U: each Y_t
+    is a function of (U_t, U_{t+1}) only, so the sequence is 1-dependent and
+    the marginal is exactly F.  theta = 0 degenerates to iid draws from F.
+
+    marginal_quantile may be a vectorized callable or one of the registered
+    marginal names (uniform, normal, lognormal, pearson2).
+    """
+    return _copula_sampler(marginal_quantile, theta, n).generate(rng)
+
+
+def _pearson2_sampler(mu, sigma, m: int | None, n: int) -> Sampler:
+    n = _require_n(n)
+    spec = pearson2_process(mu, sigma, m)
+    mu_arr = np.asarray(spec.params["mu"], dtype=np.float64)
+    d = mu_arr.size
+    window = d + 4
+    stride = window - spec.m
+    chol = np.linalg.cholesky(np.asarray(spec.params["sigma"], dtype=np.float64))
+
+    def transform(block):
+        # per row: the window algebra keeps its one-series order of operations
+        out = []
+        for z in normal_quantile(block):
+            win = np.lib.stride_tricks.sliding_window_view(z, window)[::stride]
+            norms = np.sqrt(np.einsum("ij,ij->i", win, win))
+            norms = np.where(norms == 0.0, 1.0, norms)
+            out.append(mu_arr + math.sqrt(window) * (win[:, :d] @ chol.T) / norms[:, None])
+        return out
+
+    return Sampler(spec, d, (n - 1) * stride + window, True, transform)
 
 
 def gen_pearson2(mu, sigma, m: int | None, n: int, rng: RngStream) -> GeneratedSeries:
@@ -380,43 +465,40 @@ def gen_pearson2(mu, sigma, m: int | None, n: int, rng: RngStream) -> GeneratedS
     floor((d+3)/s)-dependent (<= m, so m is a valid dependence bound).
     Every observation satisfies (x-mu)' sigma^{-1} (x-mu) <= d+4.
     """
+    return _pearson2_sampler(mu, sigma, m, n).generate(rng)
+
+
+def _uniform_sampler(d: int, n: int) -> Sampler:
     n = _require_n(n)
-    spec = pearson2_process(mu, sigma, m)
-    mu_arr = np.asarray(spec.params["mu"], dtype=np.float64)
-    sig_arr = np.asarray(spec.params["sigma"], dtype=np.float64)
-    d = mu_arr.size
-    window = d + 4
-    stride = window - spec.m
-    chol = np.linalg.cholesky(sig_arr)
-    z = standard_normals(rng.generator(), (n - 1) * stride + window)
-    win = np.lib.stride_tricks.sliding_window_view(z, window)[::stride]
-    norms = np.sqrt(np.einsum("ij,ij->i", win, win))
-    norms = np.where(norms == 0.0, 1.0, norms)
-    head = win[:, :d]
-    pts = mu_arr + math.sqrt(window) * (head @ chol.T) / norms[:, None]
-    return GeneratedSeries(sample=SeriesSample(pts), spec=spec, stream=rng)
+    spec = iid_uniform_process(d)
+    d = spec.params["d"]
+    return Sampler(spec, d, n * d, False, lambda block: block.reshape(-1, n, d))
 
 
 def gen_iid_uniform(d: int, n: int, rng: RngStream) -> GeneratedSeries:
-    n = _require_n(n)
-    spec = iid_uniform_process(d)
-    pts = rng.generator().random((n, d))
-    return GeneratedSeries(sample=SeriesSample(pts), spec=spec, stream=rng)
+    return _uniform_sampler(d, n).generate(rng)
+
+
+def sampler(spec: ProcessSpec, n: int) -> Sampler:
+    """The draw and shape layers of a declarative spec at length n.
+
+    Dispatches on the family name and rebuilds the spec from its params, so
+    the parameters are checked once here, not once per stream.
+    """
+    fam, params = spec.family, spec.params
+    if fam in ("gaussian_ma", "lognormal_ma"):
+        return _ma_sampler(params["theta"], n, lognormal=fam == "lognormal_ma")
+    if fam == "cauchy_ratio":
+        return _cauchy_sampler(n)
+    if fam == "copula_onedep":
+        return _copula_sampler(params["marginal"], params["theta"], n)
+    if fam == "pearson2":
+        return _pearson2_sampler(params["mu"], params["sigma"], params["m"], n)
+    if fam == "iid_uniform":
+        return _uniform_sampler(params["d"], n)
+    raise ValueError(f"unknown process family {fam!r}")
 
 
 def generate(spec: ProcessSpec, n: int, rng: RngStream) -> GeneratedSeries:
-    """Generate from a declarative spec (dispatch on the family name)."""
-    fam = spec.family
-    if fam == "gaussian_ma":
-        return gen_gaussian_ma(spec.params["theta"], n, rng)
-    if fam == "lognormal_ma":
-        return gen_lognormal_ma(spec.params["theta"], n, rng)
-    if fam == "cauchy_ratio":
-        return gen_cauchy_ratio(n, rng)
-    if fam == "copula_onedep":
-        return gen_copula_onedep(spec.params["marginal"], spec.params["theta"], n, rng)
-    if fam == "pearson2":
-        return gen_pearson2(spec.params["mu"], spec.params["sigma"], spec.params["m"], n, rng)
-    if fam == "iid_uniform":
-        return gen_iid_uniform(spec.params["d"], n, rng)
-    raise ValueError(f"unknown process family {fam!r}")
+    """Generate one series from a declarative spec and one stream."""
+    return sampler(spec, n).generate(rng)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from helpers import gaussian_pdf, pearson2_d1_pdf, quad_power_integral
 
 from epsentropy.core import RngStream, SeriesSample
@@ -84,6 +86,21 @@ def test_statistic_scale_invariance_exact():
     scaled = gof_statistic(SeriesSample(g.sample.points * c), eps=0.25 * c)
     assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
     assert scaled.h2_hat != base.h2_hat  # entropy itself is not scale free
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(d=st.integers(1, 3), k=st.integers(-20, 20), seed=st.integers(0, 2**16))
+def test_ratio_is_invariant_under_power_of_two_rescaling(d, k, seed):
+    x = generate(pearson2_process([0.0] * d, np.eye(d).tolist()), 200, RngStream(seed, d)).sample.points
+    base = gof_statistic(SeriesSample(x), eps=0.3)
+    scaled = gof_statistic(SeriesSample(np.ldexp(x, k)), eps=np.ldexp(0.3, k))
+    assume(not base.h2_clamped and not scaled.h2_clamped)
+    # the count, the ball volume and the covariance factor rescale exactly; h2
+    # shifts by k d log 2 and is rounded to an ulp of its own size, which exp
+    # turns into a relative error of that size on top of a few ulps of its own
+    h2_rounding = np.spacing(abs(base.h2_hat)) + np.spacing(abs(scaled.h2_hat))
+    assert abs(scaled.ratio - base.ratio) <= base.ratio * h2_rounding + 4 * np.spacing(base.ratio)
+    assert scaled.det_sigma == np.ldexp(base.det_sigma, 2 * k * d)
 
 
 def test_null_ratio_near_one():

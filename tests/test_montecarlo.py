@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import scipy.special as sps
 import scipy.stats as st
 
 from epsentropy import montecarlo, paircount
-from epsentropy.core import RngStream, standard_normals
+from epsentropy.core import RngStream, normal_quantile
 from epsentropy.estimators import EstimateConfig, ResidualKind, estimate_report, residual_from_report
 from epsentropy.montecarlo import (
     DEFAULT_SEED,
@@ -25,6 +27,7 @@ from epsentropy.montecarlo import (
 from epsentropy.processes import (
     ProcessSpec,
     ProcessTruth,
+    Sampler,
     generate,
     iid_uniform_process,
     lognormal_onedep_process,
@@ -71,7 +74,7 @@ def test_ks_statistic_quantile_spread():
 
 
 def test_ks_against_scipy():
-    x = standard_normals(RngStream(200, 0).generator(), 500)
+    x = normal_quantile(RngStream(200, 0).generator().random(500))
     stat, p = ks_test(x, "std_normal")
     ref = st.kstest(x, "norm", mode="asymp")
     assert stat == pytest.approx(ref.statistic, abs=1e-12)
@@ -88,7 +91,7 @@ def test_ks_p_values_are_uniform_under_null():
     # KS of the KS p-values themselves: 300 independent normal batches
     pvals = []
     for i in range(300):
-        z = standard_normals(RngStream(202, i).generator(), 80)
+        z = normal_quantile(RngStream(202, i).generator().random(80))
         pvals.append(ks_test(z, "std_normal")[1])
     _, p = ks_test(pvals, "uniform01")
     assert p > 0.01
@@ -209,16 +212,42 @@ def test_residual_study_over_the_stack_budget_matches_one_by_one():
 
 
 def test_generation_failure_names_its_replicate(monkeypatch):
-    def failing(spec, n, stream):
+    draw = Sampler.draw
+
+    def failing(self, stream):
         if stream.stream_id == 3:
             raise ValueError("generator broke")
-        return generate(spec, n, stream)
+        return draw(self, stream)
 
-    monkeypatch.setattr(montecarlo, "generate", failing)
+    monkeypatch.setattr(Sampler, "draw", failing)
     with pytest.raises(RuntimeError, match="^replicate 3: generator broke$"):
         run_residual_study(_plan())
     with pytest.raises(RuntimeError, match="^replicate 3: generator broke$"):
         probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.01, n_sim=5)
+
+
+def test_shaping_failure_names_its_replicate(monkeypatch):
+    # rows whose first uniform is below 0.1 shape to a non-finite sample; a
+    # stack that fails is shaped again row by row to name the first of them
+    real = montecarlo.sampler
+
+    def poisoned(spec, n):
+        gen = real(spec, n)
+
+        def transform(block):
+            return [np.full(n, np.inf) if row[0] < 0.1 else path
+                    for row, path in zip(block, gen.transform(block))]
+
+        return dataclasses.replace(gen, transform=transform)
+
+    first = next(i for i in range(100) if RngStream(70, i).generator().random() < 0.1)
+    assert first > 0
+    monkeypatch.setattr(montecarlo, "sampler", poisoned)
+    message = f"^replicate {first}: sample contains non-finite values$"
+    with pytest.raises(RuntimeError, match=message):
+        run_residual_study(_plan(n_sim=100, base_seed=70))
+    with pytest.raises(RuntimeError, match=message):
+        probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.01, n_sim=100, base_seed=70)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +275,15 @@ def test_probes_match_their_values_before_stacking():
         0.04460256867769667, 2.02, 2.109874686716792)
     assert probe_moments(iid_uniform_process(1), n=500, eps=0.001, n_sim=300, base_seed=56) == (
         0.9949066666666666, 1.0717269119286512)
+
+
+@pytest.mark.parametrize("eps,what", [(1e200, "overflows"), (1e-200, "underflows to 0")])
+def test_probes_reject_radii_whose_ball_volume_leaves_the_floats(eps, what):
+    message = f"^ball volume {what} at radius {re.escape(str(eps))} in dimension 2$"
+    with pytest.raises(ValueError, match=message):
+        probe_poisson_regime(iid_uniform_process(2), n=10, eps=eps, n_sim=2)
+    with pytest.raises(ValueError, match=message):
+        probe_moments(iid_uniform_process(2), n=10, eps=eps, n_sim=2)
 
 
 def test_poisson_probe_mean_and_distance():

@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from helpers import (
     cauchy_pdf,
     gauss_pair_product,
@@ -12,7 +15,8 @@ from helpers import (
     quad_power_integral,
 )
 
-from epsentropy.core import RngStream
+from epsentropy import montecarlo, paircount
+from epsentropy.core import RngStream, normal_quantile
 from epsentropy.processes import (
     COPULA_MARGINALS,
     ProcessSpec,
@@ -32,6 +36,7 @@ from epsentropy.processes import (
     ma2_normal_process,
     pearson2_process,
     pearson2_quantile,
+    sampler,
 )
 
 INF = float("inf")
@@ -267,3 +272,111 @@ def test_custom_copula_marginal_callable():
     assert g.spec.params["marginal"] == "custom"
     assert g.spec.truth == ProcessTruth()
     assert np.all((g.sample.points >= 0) & (g.sample.points <= 2))
+
+
+# ---------------------------------------------------------------------------
+# stacked generation: a block of streams shapes to each stream's own bits
+# ---------------------------------------------------------------------------
+
+FAMILIES = {
+    "gaussian_ma_1": gaussian_ma_process([1.0]),
+    "gaussian_ma_2": gaussian_ma_process([0.6, 0.8]),
+    "gaussian_ma_3": ma2_normal_process(),
+    "lognormal_ma_2": lognormal_onedep_process(),
+    "lognormal_ma_3": lognormal_ma_process([0.5, -0.25, 0.125]),
+    "cauchy_ratio": cauchy_ratio_process(),
+    "copula_uniform": copula_onedep_process(2.0, "uniform"),
+    "copula_normal": copula_onedep_process(2.0, "normal"),
+    "copula_lognormal": copula_onedep_process(2.0, "lognormal"),
+    "copula_pearson2": copula_onedep_process(2.0, "pearson2"),
+    "copula_theta0": copula_onedep_process(0.0, "normal"),
+    "pearson2_1": pearson2_process([0.0], [[1.0]]),
+    "pearson2_2": pearson2_process([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]], 3),
+    "pearson2_3": pearson2_process([0.0, 0.0, 0.0], [[1.0, 0.2, 0.1], [0.2, 1.0, 0.0], [0.1, 0.0, 1.5]]),
+    "iid_uniform_1": iid_uniform_process(1),
+    "iid_uniform_2": iid_uniform_process(2),
+    "iid_uniform_3": iid_uniform_process(3),
+}
+
+# sha256 of generate(spec, 257, RngStream(5, 0)).sample.points, recorded when
+# every family still generated one stream at a time
+PINNED = {
+    "gaussian_ma_1": "68d3b4a2fcd75bf90d916a23c6c1e17afce5be55d95390fb4e5fe3762406fffc",
+    "gaussian_ma_2": "d8eb165bb5d57c5eb5d08468155c55541d6aca52ac243fc08c7c250fb4afdefd",
+    "gaussian_ma_3": "30b7e0a261a6ee787a98a8039e3507bc7b7017091a52cb61533335539e25f4d5",
+    "lognormal_ma_2": "ee16f7ab5aac1c6c7a8dc7394bd1a20d0b8cb767b0d80b1e1dc3f34eb042b369",
+    "lognormal_ma_3": "eb5ad5bb2dbecad51b10f65ac3f8c28ddcba25f30a760434c6edce9495dda520",
+    "cauchy_ratio": "49f3211449c0323d0e5dfb6b0d1bd70cfe17d5d62f24dfc7c974eed0d3366d94",
+    "copula_uniform": "773d9c0ba56721d8f4df09c951dc436aedc876795d855d1aae4420046e104ac0",
+    "copula_normal": "e3f2005453a35d9eca39fc199692b2e4234d5cb375f247b128e7176462d6dcd8",
+    "copula_lognormal": "097b2fad3711fc170612fced45d3b963c5641ba13fe15e156321c01e96045e9c",
+    "copula_pearson2": "1bebf387bc5b77cac13574b9c61e66f1a77a6338fa007b76eb9e1b04ce68d3fc",
+    "copula_theta0": "5fc6856045266adeab60fedd223384fe054fe666c7b1213405c6b8a4ad347296",
+    "pearson2_1": "409bd8c04d8ebf7942914742cddcd12a83b94e72eb53b6d7d4f659fec92f6142",
+    "pearson2_2": "b052c25a640b3866c8ef9aa0badb4c9b406d3c4a6a581927128e2f40aface93d",
+    "pearson2_3": "c89a9266d33eb8f64217928371dac576e17e814168d5ff14f59ad157826c7cb5",
+    "iid_uniform_1": "33edd70f370bdf2f87c10ecd9c563de3155420dc70dfaa7c6a3b5237719e54d1",
+    "iid_uniform_2": "ca919db342fd51d68b905cef6d4ad8316f8925b458c7ab4530e76101ef27b696",
+    "iid_uniform_3": "1f35ea0305b871444cb2c486352ebca2474dfd790b967505e849ca84be1d25c2",
+}
+
+
+def _bits(sample):
+    return sample.points.tobytes()
+
+
+def test_normal_innovations_are_quantiles_of_the_stream():
+    # inverse-CDF of the stream's uniforms: no rejection step, so the same
+    # stream gives the same normals
+    gen = sampler(gaussian_ma_process([1.0]), 4000)
+    a = gen.draw(RngStream(11, 0))
+    assert np.array_equal(a, gen.draw(RngStream(11, 0)))
+    assert np.array_equal(a, RngStream(11, 0).generator().random(4000))
+    z = gen.shape(a[None])[0].points[:, 0]
+    assert np.array_equal(z, normal_quantile(a))
+    assert abs(z.mean()) < 0.06 and abs(z.std() - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_generated_bits_are_pinned(name):
+    points = generate(FAMILIES[name], 257, RngStream(5, 0)).sample.points
+    assert hashlib.sha256(points.tobytes()).hexdigest() == PINNED[name]
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(name=hs.sampled_from(sorted(FAMILIES)), k=hs.sampled_from([1, 2, 7]),
+       n=hs.one_of(hs.just(1), hs.integers(1, 80)), seed=hs.integers(0, 2**32))
+def test_stacked_shape_matches_one_stream_at_a_time(name, k, n, seed):
+    spec = FAMILIES[name]
+    gen = sampler(spec, n)
+    streams = [RngStream(seed, i) for i in range(k)]
+    stacked = gen.shape(np.stack([gen.draw(stream) for stream in streams]))
+    assert len(stacked) == k
+    for stream, sample in zip(streams, stacked):
+        alone = generate(spec, n, stream)
+        assert alone.spec == spec
+        assert _bits(sample) == _bits(alone.sample)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_stacks_across_the_value_budget_match_one_stream_at_a_time(name):
+    # n = 5000: seven rows fill more than one stack; iid_uniform_3 at n = 12000
+    # has rows longer than a stack, which are shaped alone
+    spec = FAMILIES[name]
+    n = 12_000 if name == "iid_uniform_3" else 5_000
+    gen = sampler(spec, n)
+    assert 7 * gen.width > paircount._STACK_VALUES
+    streams = [RngStream(17, i) for i in range(7)]
+    shaped = montecarlo._shaped(gen, [gen.draw(stream) for stream in streams])
+    assert [_bits(s) for s in shaped] == [_bits(generate(spec, n, s).sample) for s in streams]
+
+
+def test_custom_copula_marginal_sees_one_series():
+    shapes = []
+
+    def marginal(u):
+        shapes.append(u.shape)
+        return u
+
+    gen_copula_onedep(marginal, 1.0, 40, RngStream(83, 0))
+    assert shapes == [(40,)]
