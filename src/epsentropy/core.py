@@ -25,6 +25,7 @@ __all__ = [
     "SeriesSample",
     "RngStream",
     "ball_volume",
+    "checked_columns",
     "unit_ball_volume",
     "normal_quantile",
     "normal_cdf",
@@ -76,15 +77,20 @@ class SeriesSample:
 
     def project(self, columns) -> "SeriesSample":
         """Sub-sample restricted to the given column indices (key subsets)."""
-        cols = list(columns)
-        if len(cols) == 0:
-            raise ValueError("projection needs at least one column")
-        if len(set(cols)) != len(cols):
-            raise ValueError("projection columns must be distinct")
-        for c in cols:
-            if not 0 <= c < self.d:
-                raise ValueError(f"column {c} outside [0, {self.d})")
-        return SeriesSample(self.points[:, cols])
+        return SeriesSample(self.points[:, checked_columns(columns, self.d)])
+
+
+def checked_columns(columns, d: int) -> list[int]:
+    """The column indices as a list, checked to be distinct and in [0, d)."""
+    cols = list(columns)
+    if len(cols) == 0:
+        raise ValueError("projection needs at least one column")
+    if len(set(cols)) != len(cols):
+        raise ValueError("projection columns must be distinct")
+    for c in cols:
+        if not 0 <= c < d:
+            raise ValueError(f"column {c} outside [0, {d})")
+    return cols
 
 
 def _gamma_half(two_a: int) -> float:
@@ -292,6 +298,9 @@ class RngStream:
 
 def worker_count(n_tasks: int) -> int:
     """Worker cap for task pools.
+
+    No pool in the package calls it now; epskeys and montecarlo keep the name
+    because perfbench/worker.py wraps it there.
 
     RENYI_THREADS overrides when set (min 1); otherwise the CPU count.  Never
     more workers than tasks.  Results must still be merged by task index;

@@ -6,19 +6,21 @@ chance of that event is governed by the same close-pair count the entropy
 estimators use: the count is approximately Poisson with mean proportional to
 the projection's quadratic functional, so subsets with small estimated q2
 are the asymptotically favored key candidates.  Ranking therefore sorts by
-q2_hat, not by the raw count, which drifts with the ball volume.
+q2_hat, not by the raw count, which drifts with the ball volume.  All the
+subsets of a ranking are counted by one paircount.count_subset_pairs call.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 from .asymptotics import poisson_p_key
-from .core import SeriesSample, ball_volume, worker_count
-from .paircount import count_close_pairs
+from .core import SeriesSample, ball_volume, checked_columns
+from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
+from .paircount import _checked_eps, count_subset_pairs
+from .paircount import count_close_pairs  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 __all__ = ["KeyCandidate", "evaluate_subset", "rank_candidates", "all_subsets"]
 
@@ -59,19 +61,7 @@ class KeyCandidate:
 
 def evaluate_subset(table: SeriesSample, attributes, eps: float) -> KeyCandidate:
     """Score one column subset: close pairs, q2_hat, and the zero-count chance."""
-    attrs = tuple(int(a) for a in attributes)
-    proj = table.project(attrs)
-    if proj.n < 2:
-        raise ValueError("need at least two rows to look for collisions")
-    result = count_close_pairs(proj, eps)
-    pairs = proj.n * (proj.n - 1) // 2
-    q2_hat = result.n_pairs_close / (pairs * ball_volume(proj.d, eps))
-    return KeyCandidate(
-        attributes=tuple(sorted(attrs)),
-        n_pairs_close=result.n_pairs_close,
-        q2_hat=q2_hat,
-        p_key=poisson_p_key(proj.n, proj.d, eps, q2_hat),
-    )
+    return rank_candidates(table, [attributes], eps)[0]
 
 
 def all_subsets(n_columns: int, size: int) -> list[tuple[int, ...]]:
@@ -104,10 +94,25 @@ def rank_candidates(table: SeriesSample, subsets, eps: float) -> list[KeyCandida
     if len(subset_list) > SUBSET_CAP:
         raise ValueError(f"{len(subset_list)} subsets exceeds the cap of {SUBSET_CAP}")
 
-    workers = worker_count(len(subset_list))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            candidates = list(pool.map(lambda s: evaluate_subset(table, s, eps), subset_list))
-    else:
-        candidates = [evaluate_subset(table, s, eps) for s in subset_list]
+    # every rejection comes before any counting, in the order a subset-by-subset
+    # scoring would meet it: the first subset's columns, the table, eps, the
+    # ball volume, then the other subsets' columns
+    size = len(subset_list[0])
+    checked_columns(subset_list[0], table.d)
+    if table.n < 2:
+        raise ValueError("need at least two rows to look for collisions")
+    volume = ball_volume(size, _checked_eps(eps))
+    for attrs in subset_list[1:]:
+        checked_columns(attrs, table.d)
+    counts = count_subset_pairs(table.points, subset_list, eps)
+    pairs = table.n * (table.n - 1) // 2
+    candidates = []
+    for attrs, count in zip(subset_list, counts):
+        q2_hat = count / (pairs * volume)
+        candidates.append(KeyCandidate(
+            attributes=tuple(sorted(attrs)),
+            n_pairs_close=count,
+            q2_hat=q2_hat,
+            p_key=poisson_p_key(table.n, size, eps, q2_hat),
+        ))
     return sorted(candidates, key=lambda c: (c.q2_hat, c.attributes))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeriesSample, ball_volume
-from .paircount import count_close_pairs
+from .paircount import count_subset_pairs
 
 __all__ = ["GofResult", "sample_covariance", "k_d", "gof_statistic"]
 
@@ -95,7 +95,7 @@ def gof_statistic(sample: SeriesSample, eps: float, delta: float = 0.1) -> GofRe
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     n = sample.n
     # q2_hat alone: the full estimate_report would add a lagged-triple pass
-    pairs = count_close_pairs(sample, eps).n_pairs_close
+    pairs = count_subset_pairs(sample.points, [range(sample.d)], eps)[0]
     q2 = pairs / (n * (n - 1) / 2) / ball_volume(sample.d, eps)
     clamped = q2 < 1.0 / n
     h2 = -math.log(max(q2, 1.0 / n))

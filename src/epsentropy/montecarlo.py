@@ -35,7 +35,7 @@ from .estimators import (
     residual_from_report,
 )
 from .estimators import estimate_report  # noqa: F401  (unused; perfbench/spans.py wraps it)
-from .paircount import _STACK_VALUES, _checked_eps, _stacked_counts_1d, count_close_pairs
+from .paircount import _STACK_VALUES, _checked_eps, _stacked_counts_1d, count_subset_pairs
 from .processes import ProcessSpec, Sampler, sampler
 from .processes import generate  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
@@ -291,12 +291,15 @@ def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
 
 
 def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: int,
-                 q2: float | None) -> tuple[tuple[int, ...], float, int]:
-    """Close-pair counts of n_sim replicates, their mean b_1(d) q2 n^2 eps^d / 2, and d.
+                 q2: float | None, zeta: float | None = None
+                 ) -> tuple[tuple[int, ...], float, float | None]:
+    """Close-pair counts of n_sim replicates, their mean b_1(d) q2 n^2 eps^d / 2,
+    and with zeta their variance, the mean plus b_1(d)^2 zeta n^3 eps^{2d}.
 
-    q2 defaults to the process truth, which must then be available.  1-D
-    replicates are counted as one stack (a bounded number of values at a
-    time); d >= 2 replicates one by one.
+    q2 defaults to the process truth, which must then be available.  Both
+    asymptotes are checked before any replicate is drawn.  1-D replicates
+    are counted as one stack (a bounded number of values at a time); d >= 2
+    replicates one by one.
     """
     q2_truth = spec.truth.q2 if q2 is None else float(q2)
     if q2_truth is None:
@@ -309,15 +312,24 @@ def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: i
     gen = sampler(spec, n)
     d = gen.d
     ball_volume(d, eps)  # raises, naming eps and d, where eps**d under- or overflows
+    b1 = unit_ball_volume(d)
+    mean = 0.5 * b1 * q2_truth * n * n * eps**d
+    var = None
+    if zeta is not None:
+        try:
+            var = mean + b1 * b1 * zeta * n**3 * eps ** (2 * d)
+        except OverflowError:
+            var = math.inf
+        if not math.isfinite(var):
+            raise ValueError(f"count variance asymptote overflows at radius {eps} in dimension {d}")
 
     samples = _shaped(gen, _replicate_map(n_sim, base_seed, lambda i, stream: gen.draw(stream)))
     if d == 1:
         rows = _stacked_counts_1d([s.points[:, 0] for s in samples], eps, eps, ())
         counts = tuple(n_close for n_close, _, _ in rows)
     else:
-        counts = tuple(count_close_pairs(s, eps).n_pairs_close for s in samples)
-    mean = 0.5 * unit_ball_volume(d) * q2_truth * n * n * eps**d
-    return counts, mean, d
+        counts = tuple(count_subset_pairs(s.points, [range(d)], eps)[0] for s in samples)
+    return counts, mean, var
 
 
 def probe_poisson_regime(
@@ -376,10 +388,8 @@ def probe_moments(
     zeta_truth = spec.truth.zeta if zeta is None else float(zeta)
     if zeta_truth is None:
         raise ValueError(f"process family {spec.family!r} carries no zeta truth; pass zeta=")
-    counts, mean_asym, d = _count_study(spec, n, eps, n_sim, base_seed, q2)
+    counts, mean_asym, var_asym = _count_study(spec, n, eps, n_sim, base_seed, q2, zeta_truth)
     arr = np.asarray(counts, dtype=np.float64)
-    b1 = unit_ball_volume(d)
-    var_asym = mean_asym + b1 * b1 * zeta_truth * n**3 * eps ** (2 * d)
     return float(arr.mean() / mean_asym), float(arr.var(ddof=1) / var_asym)
 
 

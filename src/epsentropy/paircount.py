@@ -18,6 +18,10 @@ confirms it, and bisection on the test finds the rest.
   distances of the window pairs, added column by column from the left, are
   filtered in blocks of bounded size, so memory stays O(n d) however many
   pairs are close.  Lagged triples come from sorted directed edge keys.
+* column subsets (count_subset_pairs): the same holds for any one column
+  of a subset, since the rounded sum is never below any of its terms.  The
+  subsets that share their smallest column are counted in one window pass
+  sorted on it, each column's squared differences computed once per block.
 
 Every triple counter, discrete ties included, ends in _lagged_triples.
 
@@ -32,11 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SeriesSample
+from .core import SeriesSample, checked_columns
 
 __all__ = [
     "PairCountResult",
     "count_close_pairs",
+    "count_subset_pairs",
     "close_pairs",
     "count_uh_triples",
     "min_interpoint_distance",
@@ -65,43 +70,59 @@ class PairCountResult:
     eps: float
 
 
-def _sq_sum(diffs) -> np.ndarray:
-    """Squared norms of coordinate differences, one array per column.
+def _sq_sum(squares) -> np.ndarray:
+    """Squared norms from per-column squared differences.
 
     The squares are added column by column from the left, one fixed order
     for every path, so an "exact" count never depends on a library's
-    summation order.
+    summation order.  squares may be any iterable, read once.  No input is
+    written, since one column's squares may serve several sums: the first
+    addition makes a new array, and the rest add into it.
     """
-    total = None
-    for diff in diffs:
-        sq = diff * diff
-        total = sq if total is None else np.add(total, sq, out=total)
+    squares = iter(squares)
+    total = next(squares)
+    owned = False
+    for sq in squares:
+        total = np.add(total, sq, out=total if owned else None)
+        owned = True
     return total
 
 
-def _window_pairs(pts: np.ndarray, eps_sq: float):
-    """Squared distances of the column-0 rank-window pairs, in bounded blocks.
+def _pivot_windows(pts: np.ndarray, pivot: int, eps_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort on one column and take its rank windows at eps.
 
-    Sorts once on column 0 (points order[p] in sorted position p) and yields
-    (order, start, sq, valid) per block of rows: sq[r, s] is the full squared
-    distance of sorted positions start+r and start+r+s+1, and valid[r, s]
-    says that the pair lies in the column-0 window.  Every pair within eps is
-    among the valid ones, with no margin: a rounded sum of nonnegative
-    floats is never below one of its terms, and the first term is the exact
-    1-D test of _rank_windows.  Each block holds at most _BLOCK entries,
+    Returns order (point order[p] in sorted position p, a stable sort) and
+    width[p], the number of later sorted positions within eps of p on the
+    pivot column by the exact test of _rank_windows.
+    """
+    order = np.argsort(pts[:, pivot], kind="stable")
+    _, hi = _rank_windows(pts[order, pivot], eps_sq)
+    return order, hi - np.arange(1, order.shape[0] + 1)
+
+
+def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns):
+    """Squared column differences of the pivot's rank-window pairs, in bounded blocks.
+
+    order and width come from _pivot_windows.  Yields (start, valid, squares)
+    per block of rows, where squares is an iterator that computes the
+    block's columns one at a time, to be read before the next block: its
+    k-th array holds, at [r, s], fl(fl(x[q] - x[p])^2) on column columns[k]
+    for the sorted positions p = start+r and q = p+s+1 (points order[p] and
+    order[q]).  valid[r, s] says that q lies in p's window.
+    Every pair within eps on a set of columns that holds the pivot is among
+    the valid ones, with no margin: a rounded sum of nonnegative floats is
+    never below one of its terms, and the pivot's term is the exact 1-D test
+    of the windows.  Each block holds at most _BLOCK entries per column,
     unless one row's window alone is wider.
     """
-    n = pts.shape[0]
-    order = np.argsort(pts[:, 0], kind="stable")
-    cols = np.ascontiguousarray(pts[order].T)
-    _, hi = _rank_windows(cols[0], eps_sq)
-    width = hi - np.arange(1, n + 1)
+    n = order.shape[0]
     w_max = int(width.max())
     if w_max == 0:
         return
-    # windows[c][p, s] = cols[c][p + s], zero past the end
+    # windows[k][p, s] = cols[k][p + s], zero past the end
     pad = np.zeros(w_max)
-    windows = [sliding_window_view(np.concatenate((col, pad)), w_max + 1) for col in cols]
+    cols = [np.concatenate((pts[order, c], pad)) for c in columns]
+    windows = [sliding_window_view(col, w_max + 1) for col in cols]
     start = 0
     while start < n:
         stop = min(n, start + max(1, _BLOCK // max(1, int(width[start]))))
@@ -109,12 +130,17 @@ def _window_pairs(pts: np.ndarray, eps_sq: float):
         stop = min(stop, start + max(1, _BLOCK // max(1, w)))
         w = int(width[start:stop].max())
         if w:
-            sq = _sq_sum(
-                win[start:stop, 1 : w + 1] - col[start:stop, None] for col, win in zip(cols, windows)
-            )
             valid = np.arange(1, w + 1) <= width[start:stop, None]
-            yield order, start, sq, valid
+            yield start, valid, _block_squares(cols, windows, start, stop, w)
         start = stop
+
+
+def _block_squares(cols, windows, start: int, stop: int, w: int):
+    """The squared differences of one block of _window_pairs, column by column."""
+    for col, win in zip(cols, windows):
+        sq = win[start:stop, 1 : w + 1] - col[start:stop, None]
+        sq *= sq
+        yield sq
 
 
 def _count_and_min_sq(pts: np.ndarray, eps_sq: float) -> tuple[int, float]:
@@ -122,10 +148,54 @@ def _count_and_min_sq(pts: np.ndarray, eps_sq: float) -> tuple[int, float]:
     column-0 window pairs (the global minimum whenever it is <= eps_sq)."""
     count = 0
     min_sq = math.inf
-    for _, _, sq, valid in _window_pairs(pts, eps_sq):
+    order, width = _pivot_windows(pts, 0, eps_sq)
+    for _, valid, squares in _window_pairs(pts, order, width, range(pts.shape[1])):
+        sq = _sq_sum(squares)
         count += int(np.count_nonzero(valid & (sq <= eps_sq)))
         min_sq = min(min_sq, float(sq[valid].min()))
     return count, min_sq
+
+
+def count_subset_pairs(pts: np.ndarray, subsets, eps: float) -> list[int]:
+    """Pairs within eps on each column subset of an (n, d) array, one count per subset.
+
+    Each count equals count_close_pairs(SeriesSample(pts[:, s]), eps)
+    .n_pairs_close bit for bit, with no minimum distance.  The subsets are
+    grouped by their smallest column, the pivot: one sort and one window
+    pass on the pivot serve the group, each column the group needs has its
+    squared differences computed once per block, and each subset adds its
+    own columns' squares in its own order (_sq_sum).  This is exact with no
+    margin, as every window pass is: fl(s + t) >= max(s, t) for s, t >= 0,
+    so a pair within eps on a subset is within eps on its pivot.  A subset
+    of the pivot alone is counted from the windows.  Memory: one block of
+    squares per column of a group.
+    """
+    eps = _checked_eps(eps)
+    n, d = pts.shape
+    if n < 2:
+        raise ValueError("pair counting needs at least two observations")
+    subset_list = [tuple(checked_columns(s, d)) for s in subsets]
+    eps_sq = eps * eps
+    groups: dict[int, list[int]] = {}
+    for k, attrs in enumerate(subset_list):
+        groups.setdefault(min(attrs), []).append(k)
+    counts = [0] * len(subset_list)
+    for pivot, members in sorted(groups.items()):
+        order, width = _pivot_windows(pts, pivot, eps_sq)
+        summed = [k for k in members if len(subset_list[k]) > 1]
+        for k in members:
+            if len(subset_list[k]) == 1:
+                counts[k] = int(width.sum())
+        if not summed:
+            continue
+        columns = sorted({c for k in summed for c in subset_list[k]})
+        slot = {c: i for i, c in enumerate(columns)}
+        for _, valid, squares in _window_pairs(pts, order, width, columns):
+            squares = list(squares)
+            for k in summed:
+                sq = _sq_sum([squares[slot[c]] for c in subset_list[k]])
+                counts[k] += int(np.count_nonzero(valid & (sq <= eps_sq)))
+    return counts
 
 
 def _sorted_min_sq(v: np.ndarray):
@@ -149,7 +219,9 @@ def _min_sq_distance(pts: np.ndarray) -> float:
     if d == 1:
         return float(_sorted_min_sq(np.sort(pts[:, 0])))
     by_col0 = pts[np.argsort(pts[:, 0], kind="stable")]
-    u_sq = float(_sq_sum((by_col0[1:] - by_col0[:-1]).T).min())
+    gaps = by_col0[1:] - by_col0[:-1]
+    gaps *= gaps
+    u_sq = float(_sq_sum(gaps.T).min())
     return _count_and_min_sq(pts, u_sq)[1]
 
 
@@ -273,8 +345,9 @@ def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarra
     eps_sq = eps * eps
     i_parts = [np.empty(0, dtype=np.int64)]
     j_parts = [np.empty(0, dtype=np.int64)]
-    for order, start, sq, valid in _window_pairs(pts, eps_sq):
-        r, s = np.nonzero(valid & (sq <= eps_sq))
+    order, width = _pivot_windows(pts, 0, eps_sq)
+    for start, valid, squares in _window_pairs(pts, order, width, range(sample.d)):
+        r, s = np.nonzero(valid & (_sq_sum(squares) <= eps_sq))
         i_arr, j_arr = order[start + r], order[start + r + s + 1]
         i_parts.append(np.minimum(i_arr, j_arr))
         j_parts.append(np.maximum(i_arr, j_arr))

@@ -204,6 +204,39 @@ def test_keys_rejects_empty_subset_group(table_csv, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,selector,eps,message", [
+    (40, ["--subsets", "0,3"], "0.9", "column 3 outside [0, 3)"),
+    (40, ["--subsets", "-1"], "0.9", "column -1 outside [0, 3)"),
+    (40, ["--subsets", "1,1"], "0.9", "projection columns must be distinct"),
+    (1, ["--size", "1"], "0.9", "need at least two rows to look for collisions"),
+    (40, ["--size", "2"], "0", "eps must be positive and finite, got 0.0"),
+    (40, ["--size", "2"], "-1", "eps must be positive and finite, got -1.0"),
+    (40, ["--size", "2"], "nan", "eps must be positive and finite, got nan"),
+    (40, ["--size", "2"], "inf", "eps must be positive and finite, got inf"),
+    (40, ["--size", "2"], "1e200", "ball volume overflows at radius 1e+200 in dimension 2"),
+    (40, ["--size", "2"], "1e-170", "ball volume underflows to 0 at radius 1e-170 in dimension 2"),
+    # the checks run in the order a subset-by-subset scoring meets them: the
+    # first subset's columns, the rows, eps, the ball volume, the later subsets
+    (40, ["--subsets", "0,5;0,1"], "0", "column 5 outside [0, 3)"),
+    (40, ["--subsets", "0,1;0,5"], "0", "eps must be positive and finite, got 0.0"),
+    (40, ["--subsets", "0,1;0,5"], "1e200", "ball volume overflows at radius 1e+200 in dimension 2"),
+    (40, ["--subsets", "0,1;2,2"], "0.9", "projection columns must be distinct"),
+    (1, ["--size", "2"], "0", "need at least two rows to look for collisions"),
+    (1, ["--subsets", "0,9"], "0", "column 9 outside [0, 3)"),
+])
+def test_keys_rejections_come_before_any_count(tmp_path, capsys, monkeypatch, rows, selector, eps,
+                                               message):
+    def no_count(*args):
+        raise AssertionError("counted pairs of a rejected input")
+
+    monkeypatch.setattr("epsentropy.epskeys.count_subset_pairs", no_count)
+    path = str(tmp_path / "table.csv")
+    table = RngStream(501, 0).generator().integers(0, 5, size=(rows, 3)).astype(float)
+    write_sample_csv(SeriesSample(table), path)
+    assert cli.main(["keys", "--input", path, "--eps", eps] + selector) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsentropy.core import RngStream, SeriesSample, ball_volume
 from epsentropy.epskeys import KeyCandidate, all_subsets, evaluate_subset, rank_candidates
@@ -105,6 +107,22 @@ def test_ranking_ignores_input_order():
     assert rank_candidates(table, subsets, eps=0.9) == rank_candidates(
         table, list(reversed(subsets)), eps=0.9
     )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_ranking_ignores_input_order_and_attribute_order(data):
+    # one call counts every subset in one pass per pivot column; which
+    # subsets share a pass must not show in the ranking
+    n_cols = data.draw(st.integers(2, 5))
+    size = data.draw(st.integers(1, min(3, n_cols)))
+    table = _int_table(data.draw(st.integers(0, 10**6)), 30, n_cols, hi=data.draw(st.integers(2, 4)))
+    subsets = [data.draw(st.permutations(s)) for s in all_subsets(n_cols, size)]
+    ranked = rank_candidates(table, subsets, eps=0.9)
+    assert rank_candidates(table, data.draw(st.permutations(subsets)), eps=0.9) == ranked
+    by_attrs = {c.attributes: c.n_pairs_close for c in ranked}
+    assert by_attrs == {tuple(sorted(s)): brute_pair_count(table.points[:, list(s)], 0.9)
+                        for s in subsets}
 
 
 def test_ranking_is_thread_count_invariant(monkeypatch):

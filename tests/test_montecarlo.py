@@ -286,6 +286,20 @@ def test_probes_reject_radii_whose_ball_volume_leaves_the_floats(eps, what):
         probe_moments(iid_uniform_process(2), n=10, eps=eps, n_sim=2)
 
 
+@pytest.mark.parametrize("n,eps,zeta", [
+    (10, 1e100, None),  # eps**4 overflows, though the volume's eps**2 does not
+    (1000, 1e75, 1.0),  # eps**4 is finite; times n**3 it is not
+])
+def test_moment_probe_rejects_a_variance_asymptote_that_overflows(monkeypatch, n, eps, zeta):
+    def no_draw(*args):
+        raise AssertionError("drew replicates for a rejected radius")
+
+    monkeypatch.setattr(montecarlo, "_replicate_map", no_draw)
+    message = f"^count variance asymptote overflows at radius {re.escape(str(eps))} in dimension 2$"
+    with pytest.raises(ValueError, match=message):
+        probe_moments(iid_uniform_process(2), n=n, eps=eps, n_sim=2, zeta=zeta)
+
+
 def test_poisson_probe_mean_and_distance():
     out = probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.00125, n_sim=400, base_seed=55)
     assert out.mu == pytest.approx(0.5 * 2.0 * 1.0 * 40 * 40 * 0.00125, rel=1e-12)

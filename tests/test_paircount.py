@@ -19,6 +19,7 @@ from epsentropy.estimators import EstimateConfig, estimate_report, triple_normal
 from epsentropy.paircount import (
     close_pairs,
     count_close_pairs,
+    count_subset_pairs,
     count_uh_triples,
     min_interpoint_distance,
 )
@@ -466,6 +467,83 @@ def test_grid_matches_brute(case):
     assert (shuffled.n_pairs_close, shuffled.min_distance) == (res.n_pairs_close, res.min_distance)
     for h in range(min(4, s.n - 3)):
         assert count_uh_triples(s, h, eps) == brute_uh_count(pts, h, eps)
+
+
+# ---------------------------------------------------------------------------
+# column subsets, grouped by pivot, against brute force on the projections
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _subset_case(draw):
+    """(points, subsets, eps): a 2-6 column integer grid scaled by eps, so
+    many pairs lie exactly eps apart, with ulp nudges, duplicate rows, +-2^30
+    column offsets and wide eps; 1-8 subsets of 1-4 distinct columns each,
+    in drawn (mostly not ascending) order, so one call holds several pivots.
+    """
+    d = draw(st.integers(2, 6))
+    eps = draw(st.sampled_from([2.0**-3, 0.25, 1.0, 0.1, 0.3, 1.0 / 3.0, 0.7]))
+    n = draw(st.integers(7, 14))
+    k_max = draw(st.sampled_from([1, 2, 5, 20]))
+    ks = draw(st.lists(st.integers(-k_max, k_max), min_size=n * d, max_size=n * d))
+    pts = np.array(ks, dtype=np.float64).reshape(n, d) * eps
+    for c in range(d):
+        pts[:, c] += draw(st.sampled_from([0.0, 0.1, 2.0**30, -(2.0**30)]))
+    nudges = draw(st.lists(st.integers(-1, 1), min_size=n * d, max_size=n * d))
+    flat = pts.reshape(-1)
+    for t, k in enumerate(nudges):
+        if k:
+            flat[t] = np.nextafter(flat[t], math.copysign(math.inf, k))
+    for _ in range(draw(st.integers(0, 2))):
+        pts[draw(st.integers(0, n - 1))] = pts[draw(st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        eps = 2.0 * float((pts.max(axis=0) - pts.min(axis=0)).max()) + eps
+    column_lists = st.lists(st.integers(0, d - 1), min_size=1, max_size=min(4, d), unique=True)
+    subsets = draw(st.lists(column_lists.map(tuple), min_size=1, max_size=8))
+    return pts, subsets, eps
+
+
+# the two rows are 1.0 apart with the squares added in column order 0, 1, 2
+# and one ulp further apart in the order 2, 1, 0
+_ORDER_PAIR = np.array([[0.0, 0.0, 0.0], [-0.29634718220320333, -0.9501875070900958, 0.0965507585165991]])
+_SUBSET_GRID = np.array([[0.0, 0.3, 0.6, 0.0], [0.3, 0.3, 0.3, 0.3], [0.0, 0.0, 0.6, 0.6],
+                         [0.3, 0.6, 0.0, 0.3], [0.0, 0.3, 0.6, 0.0], [0.6, 0.0, 0.3, 0.3]])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_subset_case())
+@example((_SUBSET_GRID, [(2, 0), (0,), (3, 1, 0), (1, 2), (3,), (2, 3, 1, 0)], 0.3))
+@example((np.array(_ULP_4D), [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3), (2,)], 1.0 / 3.0))
+@example((_ORDER_PAIR, [(0, 1, 2), (2, 1, 0), (1, 0, 2), (2, 0, 1)], 1.0))
+def test_subset_counts_match_brute_on_projections(case):
+    pts, subsets, eps = case
+    counts = count_subset_pairs(pts, subsets, eps)
+    if pts is _ORDER_PAIR:
+        assert counts[:2] == [1, 0]
+    assert counts == [brute_pair_count(pts[:, list(s)], eps) for s in subsets]
+    assert counts == [count_close_pairs(SeriesSample(pts[:, list(s)]), eps).n_pairs_close
+                      for s in subsets]
+
+
+def test_subset_counts_are_bounded_blocks(monkeypatch):
+    # blocks narrower than a window still count every pair once
+    pts = _sample(68, 300, 4).points
+    subsets = [(0, 1), (3, 1, 2), (1,), (2, 0, 3), (3,)]
+    want = count_subset_pairs(pts, subsets, 0.8)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(paircount, "_BLOCK", block)
+        assert count_subset_pairs(pts, subsets, 0.8) == want
+
+
+def test_subset_counts_reject_what_the_projection_rejects():
+    pts = _sample(69, 5, 3).points
+    for subsets, message in (([(0, 3)], r"column 3 outside \[0, 3\)"), ([(1, 1)], "distinct"),
+                             ([()], "at least one column")):
+        with pytest.raises(ValueError, match=message):
+            count_subset_pairs(pts, subsets, 0.5)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        count_subset_pairs(pts, [(0,)], math.inf)
+    with pytest.raises(ValueError, match="two observations"):
+        count_subset_pairs(pts[:1], [(0,)], 0.5)
 
 
 def _nudged_lattice(gen, n, step, shift):
