@@ -25,6 +25,7 @@ __all__ = [
     "SeriesSample",
     "RngStream",
     "ball_volume",
+    "checked_q2",
     "checked_columns",
     "unit_ball_volume",
     "normal_quantile",
@@ -139,6 +140,18 @@ def ball_volume(d: int, eps: float) -> float:
     if vol == math.inf:
         raise ValueError(f"ball volume overflows at radius {eps} in dimension {d}")
     return vol
+
+
+def checked_q2(q2: float, eps: float, d: int) -> float:
+    """A plug-in q2_hat = count / (C(n,2) ball_volume(d, eps)), checked finite.
+
+    The count is at most C(n,2), so q2_hat overflows only where the ball
+    volume is subnormal: ball_volume accepts it, and one collision makes
+    q2_hat inf.  Raises a ValueError naming eps and d then.
+    """
+    if not math.isfinite(q2):
+        raise ValueError(f"q2_hat overflows at radius {eps} in dimension {d}: the ball volume is subnormal")
+    return q2
 
 
 # ---------------------------------------------------------------------------

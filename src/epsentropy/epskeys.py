@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .asymptotics import poisson_p_key
-from .core import SeriesSample, ball_volume, checked_columns
+from .core import SeriesSample, ball_volume, checked_columns, checked_q2
 from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
 from .paircount import _checked_eps, count_subset_pairs
 from .paircount import count_close_pairs  # noqa: F401  (unused; perfbench/spans.py wraps it)
@@ -108,7 +108,7 @@ def rank_candidates(table: SeriesSample, subsets, eps: float) -> list[KeyCandida
     pairs = table.n * (table.n - 1) // 2
     candidates = []
     for attrs, count in zip(subset_list, counts):
-        q2_hat = count / (pairs * volume)
+        q2_hat = checked_q2(count / (pairs * volume), eps, size)
         candidates.append(KeyCandidate(
             attributes=tuple(sorted(attrs)),
             n_pairs_close=count,

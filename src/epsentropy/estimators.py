@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeriesSample, ball_volume, unit_ball_volume
+from .core import SeriesSample, ball_volume, checked_q2, unit_ball_volume
 from .paircount import (
     _adjacency_masks,
     _stacked_counts_1d,
@@ -171,13 +171,17 @@ def _report_from_counts(n: int, d: int, config: EstimateConfig, volumes: tuple[f
     volumes from _checked_volumes."""
     b_eps, b2 = volumes
     qn = n_close / (n * (n - 1) / 2)
-    q2 = qn / b_eps
+    q2 = checked_q2(qn / b_eps, config.eps, d)
     h2 = -math.log(max(q2, 1.0 / n))
     u3 = tuple(c / (triple_normalizer(n, h) * b2) for h, c in enumerate(counts))
     h3 = -0.5 * math.log(max(u3[0], 1.0 / n))
     z = _zeta_from(q2, u3)
     w = math.sqrt(2.0 * q2 / (n * b_eps) + 4.0 * max(z, 1.0 / n))
     u = math.sqrt(2.0 * max(q2, 1.0 / n) / unit_ball_volume(d))
+    if not all(map(math.isfinite, (h2, *u3, h3, z, w, u))):
+        # a subnormal ball volume at eps or eps0 (w divides q2 by b_eps once more)
+        raise ValueError(f"estimates overflow at radius {config.eps} (eps0 {config.resolved_eps0}) "
+                         f"in dimension {d}")
     return EstimateReport(
         n=n,
         d=d,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeriesSample, ball_volume
+from .core import SeriesSample, ball_volume, checked_q2
 from .paircount import count_subset_pairs
 
 __all__ = ["GofResult", "sample_covariance", "k_d", "gof_statistic"]
@@ -96,7 +96,7 @@ def gof_statistic(sample: SeriesSample, eps: float, delta: float = 0.1) -> GofRe
     n = sample.n
     # q2_hat alone: the full estimate_report would add a lagged-triple pass
     pairs = count_subset_pairs(sample.points, [range(sample.d)], eps)[0]
-    q2 = pairs / (n * (n - 1) / 2) / ball_volume(sample.d, eps)
+    q2 = checked_q2(pairs / (n * (n - 1) / 2) / ball_volume(sample.d, eps), eps, sample.d)
     clamped = q2 < 1.0 / n
     h2 = -math.log(max(q2, 1.0 / n))
     _, cov = sample_covariance(sample)

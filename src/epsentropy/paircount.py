@@ -16,12 +16,17 @@ confirms it, and bisection on the test finds the rest.
 * d >= 2: the windows hold every pair within eps, because a rounded sum of
   nonnegative squares is never below its first term.  The full squared
   distances of the window pairs, added column by column from the left, are
-  filtered in blocks of bounded size, so memory stays O(n d) however many
-  pairs are close.  Lagged triples come from sorted directed edge keys.
+  filtered in blocks of at most _BLOCK entries, written into a few block
+  buffers allocated once per pass, so memory stays O(n d) however many
+  pairs are close.  The sorted columns are padded with NaN, so the test
+  sum <= eps^2 needs no window mask.  Lagged triples come from sorted
+  directed edge keys.
 * column subsets (count_subset_pairs): the same holds for any one column
   of a subset, since the rounded sum is never below any of its terms.  The
   subsets that share their smallest column are counted in one window pass
-  sorted on it, each column's squared differences computed once per block.
+  sorted on it; per block, a column that several sums add has its squared
+  differences computed once, and a column prefix that several subsets
+  share is summed once.
 
 Every triple counter, discrete ties included, ends in _lagged_triples.
 
@@ -31,6 +36,7 @@ close_pairs takes the block path for every d.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +53,11 @@ __all__ = [
     "min_interpoint_distance",
 ]
 
-_BLOCK = 1 << 16
+# entries per window block: a pass holds a few float block buffers of 8 bytes
+# an entry (the shared columns' squares, the kept prefix sums, a running sum
+# and a scratch column: eight for a pivot of keys_3d_grid), which at 2^14
+# entries, 128 KiB each, stay within a 2 MiB L2 cache
+_BLOCK = 1 << 14
 # values per stack of 1-D samples counted together (_stacked_counts_1d): a
 # lag reads and writes about eight arrays of 8 bytes a value, which at 2^15
 # values stay within a 2 MiB L2 cache; 2^16 values counted 100 samples of
@@ -70,21 +80,22 @@ class PairCountResult:
     eps: float
 
 
-def _sq_sum(squares) -> np.ndarray:
-    """Squared norms from per-column squared differences.
+def _sq_sum(square, columns, out: np.ndarray, scratch: np.ndarray | None, total=None) -> np.ndarray:
+    """Squared norms from per-column squared differences, written into out.
 
-    The squares are added column by column from the left, one fixed order
-    for every path, so an "exact" count never depends on a library's
-    summation order.  squares may be any iterable, read once.  No input is
-    written, since one column's squares may serve several sums: the first
-    addition makes a new array, and the rest add into it.
+    square(c, buf) returns column c's squares, written into buf or held
+    elsewhere (a column whose squares several sums share).  They are added
+    column by column from the left, one fixed order for every path, so an
+    "exact" count never depends on a library's summation order.  total, if
+    given, is the sum of the columns before these (a prefix that another
+    subset summed first) and is not written.  With no total the first
+    column's squares land in out; every later column's land in scratch and
+    are added into out, so one sum holds two buffers at any number of
+    columns.  Returns the sum: out, or a held array when it is the sum.
     """
-    squares = iter(squares)
-    total = next(squares)
-    owned = False
-    for sq in squares:
-        total = np.add(total, sq, out=total if owned else None)
-        owned = True
+    for c in columns:
+        sq = square(c, out if total is None else scratch)
+        total = sq if total is None else np.add(total, sq, out=out)
     return total
 
 
@@ -100,29 +111,41 @@ def _pivot_windows(pts: np.ndarray, pivot: int, eps_sq: float) -> tuple[np.ndarr
     return order, hi - np.arange(1, order.shape[0] + 1)
 
 
-def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns):
-    """Squared column differences of the pivot's rank-window pairs, in bounded blocks.
+def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns, n_buffers: int):
+    """The pivot's rank-window pairs in bounded blocks, with reused buffers.
 
-    order and width come from _pivot_windows.  Yields (start, valid, squares)
-    per block of rows, where squares is an iterator that computes the
-    block's columns one at a time, to be read before the next block: its
-    k-th array holds, at [r, s], fl(fl(x[q] - x[p])^2) on column columns[k]
-    for the sorted positions p = start+r and q = p+s+1 (points order[p] and
-    order[q]).  valid[r, s] says that q lies in p's window.
-    Every pair within eps on a set of columns that holds the pivot is among
-    the valid ones, with no margin: a rounded sum of nonnegative floats is
-    never below one of its terms, and the pivot's term is the exact 1-D test
-    of the windows.  Each block holds at most _BLOCK entries per column,
-    unless one row's window alone is wider.
+    order and width come from _pivot_windows.  Yields (start, square, bufs,
+    hits) per block: entry [r, s] of a block pairs the sorted positions
+    p = start+r and q = p+s+1 (points order[p] and order[q]), for s below
+    the widest window of the block's rows.  square(c, out) writes
+    fl(fl(x[q] - x[p])^2) on column c (one of columns) into out and returns
+    it.  bufs are n_buffers float arrays and hits one bool array of the
+    block's shape, views of buffers allocated once per call, so everything
+    a block yields is to be read before the next block.
+
+    The sorted columns are padded with NaN past the last position, so every
+    sum of squares reads NaN where q would pass the end, and NaN <= eps^2
+    is false.  An entry with q past p's window but before the end is a real
+    pair, and its pivot square alone exceeds eps^2.  So on any set of
+    columns that holds the pivot, sum <= eps^2 holds exactly for the pairs
+    within eps, all of which are in the windows, with no margin and no
+    mask: a rounded sum of nonnegative floats is never below one of its
+    terms, and the pivot's term is the exact 1-D test of the windows.  A
+    minimum over a block must skip the NaN (np.fmin); the real pairs past a
+    window cannot lower it below the minimum over all pairs.  Each block
+    holds at most _BLOCK entries, unless one row's window alone is wider.
     """
     n = order.shape[0]
     w_max = int(width.max())
     if w_max == 0:
         return
-    # windows[k][p, s] = cols[k][p + s], zero past the end
-    pad = np.zeros(w_max)
-    cols = [np.concatenate((pts[order, c], pad)) for c in columns]
-    windows = [sliding_window_view(col, w_max + 1) for col in cols]
+    # windows[c][p, s] = cols[c][p + s], NaN past the end
+    pad = np.full(w_max, np.nan)
+    cols = {c: np.concatenate((pts[order, c], pad)) for c in columns}
+    windows = {c: sliding_window_view(col, w_max + 1) for c, col in cols.items()}
+    size = min(n * w_max, max(_BLOCK, w_max))
+    flat = [np.empty(size) for _ in range(n_buffers)]
+    flat_hits = np.empty(size, dtype=bool)
     start = 0
     while start < n:
         stop = min(n, start + max(1, _BLOCK // max(1, int(width[start]))))
@@ -130,45 +153,118 @@ def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns
         stop = min(stop, start + max(1, _BLOCK // max(1, w)))
         w = int(width[start:stop].max())
         if w:
-            valid = np.arange(1, w + 1) <= width[start:stop, None]
-            yield start, valid, _block_squares(cols, windows, start, stop, w)
+            rows = slice(start, stop)
+
+            def square(c, out, rows=rows, w=w):
+                np.subtract(windows[c][rows, 1 : w + 1], cols[c][rows, None], out=out)
+                return np.multiply(out, out, out=out)
+
+            shape = (stop - start, w)
+            m = shape[0] * w
+            yield start, square, [b[:m].reshape(shape) for b in flat], flat_hits[:m].reshape(shape)
         start = stop
 
 
-def _block_squares(cols, windows, start: int, stop: int, w: int):
-    """The squared differences of one block of _window_pairs, column by column."""
-    for col, win in zip(cols, windows):
-        sq = win[start:stop, 1 : w + 1] - col[start:stop, None]
-        sq *= sq
-        yield sq
-
-
 def _count_and_min_sq(pts: np.ndarray, eps_sq: float) -> tuple[int, float]:
-    """Pairs within eps, and the smallest squared distance among the
-    column-0 window pairs (the global minimum whenever it is <= eps_sq)."""
+    """Pairs within eps, and the smallest squared distance over a set of
+    actual pairs that holds every column-0 window pair (so the global
+    minimum whenever that is <= eps_sq)."""
     count = 0
     min_sq = math.inf
     order, width = _pivot_windows(pts, 0, eps_sq)
-    for _, valid, squares in _window_pairs(pts, order, width, range(pts.shape[1])):
-        sq = _sq_sum(squares)
-        count += int(np.count_nonzero(valid & (sq <= eps_sq)))
-        min_sq = min(min_sq, float(sq[valid].min()))
+    columns = range(pts.shape[1])
+    for _, square, (out, scratch), hits in _window_pairs(pts, order, width, columns, 2):
+        sq = _sq_sum(square, columns, out, scratch)
+        count += int(np.count_nonzero(np.less_equal(sq, eps_sq, out=hits)))
+        min_sq = min(min_sq, float(np.fmin.reduce(sq, axis=None)))
     return count, min_sq
 
 
+def _prefix_plan(subsets: list[tuple[int, ...]]):
+    """How count_subset_pairs sums distinct subsets of two or more columns,
+    given in lexicographic order of their own column order, sharing prefixes.
+
+    Subsets that share a prefix are adjacent in that order, so each one
+    starts from the longest prefix it shares with the one before, and only
+    the prefix sums that a later subset starts from are kept.  Returns
+    (chains, shared, n_slots).  A chain (k, base, columns, out) adds
+    columns to the sum held in slot base (None: to nothing) with _sq_sum
+    and holds the result in slot out; k is the subset it completes, or None
+    for a kept prefix on the way.  shared lists the columns that more than
+    one chain adds, whose squares a block computes once.  n_slots is the
+    most slots held at once: the kept prefixes plus one running sum.
+    """
+    starts = [0] + [next((i for i, (a, b) in enumerate(zip(s, t)) if a != b), min(len(s), len(t)))
+                    for s, t in zip(subsets, subsets[1:])]
+    chains = []
+    kept: list[tuple[int, int]] = []  # (prefix length, slot), shortest first
+    free: list[int] = []
+    n_slots = 0
+    for k, s in enumerate(subsets):
+        start = starts[k]
+        while kept and kept[-1][0] > start:
+            free.append(kept.pop()[1])
+        # the later subsets start from the running minima of the later starts
+        cuts = []
+        for t in starts[k + 1 :]:
+            if t <= start:
+                break
+            if not cuts or t < cuts[-1]:
+                cuts.append(t)
+        base = kept[-1][1] if start else None
+        for end in sorted(set(cuts) | {len(s)}):
+            if free:
+                out = free.pop()
+            else:
+                out, n_slots = n_slots, n_slots + 1
+            chains.append((k if end == len(s) else None, base, s[start:end], out))
+            if end in cuts:
+                kept.append((end, out))
+            else:
+                free.append(out)
+            base, start = out, end
+    uses = Counter(c for _, _, columns, _ in chains for c in columns)
+    return chains, [c for c, u in uses.items() if u > 1], n_slots
+
+
+def _count_group(pts: np.ndarray, order: np.ndarray, width: np.ndarray, subsets, eps_sq: float) -> list[int]:
+    """Pairs within eps on each of a pivot group's distinct subsets of two or
+    more columns, in lexicographic order, from the pivot's window blocks."""
+    chains, shared, n_slots = _prefix_plan(subsets)
+    counts = [0] * len(subsets)
+    columns = sorted({c for s in subsets for c in s})
+    blocks = _window_pairs(pts, order, width, columns, n_slots + len(shared) + 1)
+    for _, square, bufs, hits in blocks:
+        held = {c: square(c, buf) for c, buf in zip(shared, bufs[n_slots:])}
+
+        def squares(c, buf):
+            return held[c] if c in held else square(c, buf)
+
+        sums = [None] * n_slots
+        for k, base, cols, out in chains:
+            sums[out] = _sq_sum(squares, cols, bufs[out], bufs[-1], None if base is None else sums[base])
+            if k is not None:
+                counts[k] += int(np.count_nonzero(np.less_equal(sums[out], eps_sq, out=hits)))
+    return counts
+
+
+@np.errstate(over="ignore")
 def count_subset_pairs(pts: np.ndarray, subsets, eps: float) -> list[int]:
     """Pairs within eps on each column subset of an (n, d) array, one count per subset.
 
     Each count equals count_close_pairs(SeriesSample(pts[:, s]), eps)
     .n_pairs_close bit for bit, with no minimum distance.  The subsets are
     grouped by their smallest column, the pivot: one sort and one window
-    pass on the pivot serve the group, each column the group needs has its
-    squared differences computed once per block, and each subset adds its
-    own columns' squares in its own order (_sq_sum).  This is exact with no
-    margin, as every window pass is: fl(s + t) >= max(s, t) for s, t >= 0,
-    so a pair within eps on a subset is within eps on its pivot.  A subset
-    of the pivot alone is counted from the windows.  Memory: one block of
-    squares per column of a group.
+    pass on the pivot serve the group.  Per block, the columns that several
+    sums add have their squared differences computed once, and each subset
+    adds its own columns' squares in its own order (_sq_sum), starting from
+    the longest prefix it shares with the subset before it in lexicographic
+    order (_prefix_plan), so a shared prefix is summed once.  This is exact
+    with no margin, as every window pass is: fl(s + t) >= max(s, t) for
+    s, t >= 0, so a pair within eps on a subset is within eps on its pivot.
+    A subset of the pivot alone is counted from the windows.  Memory: a
+    group holds one block buffer per shared column and per kept prefix, a
+    running sum and a scratch column; one full-width subset holds two.
     """
     eps = _checked_eps(eps)
     n, d = pts.shape
@@ -176,26 +272,18 @@ def count_subset_pairs(pts: np.ndarray, subsets, eps: float) -> list[int]:
         raise ValueError("pair counting needs at least two observations")
     subset_list = [tuple(checked_columns(s, d)) for s in subsets]
     eps_sq = eps * eps
-    groups: dict[int, list[int]] = {}
-    for k, attrs in enumerate(subset_list):
-        groups.setdefault(min(attrs), []).append(k)
-    counts = [0] * len(subset_list)
-    for pivot, members in sorted(groups.items()):
+    groups: dict[int, set[tuple[int, ...]]] = {}
+    for attrs in subset_list:
+        groups.setdefault(min(attrs), set()).add(attrs)
+    found: dict[tuple[int, ...], int] = {}
+    for pivot, group in sorted(groups.items()):
         order, width = _pivot_windows(pts, pivot, eps_sq)
-        summed = [k for k in members if len(subset_list[k]) > 1]
-        for k in members:
-            if len(subset_list[k]) == 1:
-                counts[k] = int(width.sum())
-        if not summed:
-            continue
-        columns = sorted({c for k in summed for c in subset_list[k]})
-        slot = {c: i for i, c in enumerate(columns)}
-        for _, valid, squares in _window_pairs(pts, order, width, columns):
-            squares = list(squares)
-            for k in summed:
-                sq = _sq_sum([squares[slot[c]] for c in subset_list[k]])
-                counts[k] += int(np.count_nonzero(valid & (sq <= eps_sq)))
-    return counts
+        if (pivot,) in group:
+            found[(pivot,)] = int(width.sum())
+        summed = sorted(s for s in group if len(s) > 1)
+        if summed:
+            found.update(zip(summed, _count_group(pts, order, width, summed, eps_sq)))
+    return [found[attrs] for attrs in subset_list]
 
 
 def _sorted_min_sq(v: np.ndarray):
@@ -221,7 +309,7 @@ def _min_sq_distance(pts: np.ndarray) -> float:
     by_col0 = pts[np.argsort(pts[:, 0], kind="stable")]
     gaps = by_col0[1:] - by_col0[:-1]
     gaps *= gaps
-    u_sq = float(_sq_sum(gaps.T).min())
+    u_sq = float(_sq_sum(lambda c, _: gaps[:, c], range(d), gaps[:, 0], None).min())
     return _count_and_min_sq(pts, u_sq)[1]
 
 
@@ -314,11 +402,13 @@ def _lagged_triples(deg: np.ndarray, h: int, adj: np.ndarray | None, overlap):
     return total.tolist()
 
 
+@np.errstate(over="ignore")
 def min_interpoint_distance(sample: SeriesSample) -> float:
     """Exact minimum pairwise distance Y_n = min_{i<j} d(X_i, X_j)."""
     return math.sqrt(_min_sq_distance(sample.points))
 
 
+@np.errstate(over="ignore")
 def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     """Count pairs i < j with d(X_i, X_j) <= eps; also report exact Y_n."""
     eps = _checked_eps(eps)
@@ -336,6 +426,7 @@ def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     return PairCountResult(n_pairs_close=count, min_distance=math.sqrt(min_sq), n=n, eps=eps)
 
 
+@np.errstate(over="ignore")
 def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j), i < j, with d(X_i, X_j) <= eps, as index arrays."""
     eps = _checked_eps(eps)
@@ -346,8 +437,9 @@ def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarra
     i_parts = [np.empty(0, dtype=np.int64)]
     j_parts = [np.empty(0, dtype=np.int64)]
     order, width = _pivot_windows(pts, 0, eps_sq)
-    for start, valid, squares in _window_pairs(pts, order, width, range(sample.d)):
-        r, s = np.nonzero(valid & (_sq_sum(squares) <= eps_sq))
+    columns = range(sample.d)
+    for start, square, (out, scratch), hits in _window_pairs(pts, order, width, columns, 2):
+        r, s = np.nonzero(np.less_equal(_sq_sum(square, columns, out, scratch), eps_sq, out=hits))
         i_arr, j_arr = order[start + r], order[start + r + s + 1]
         i_parts.append(np.minimum(i_arr, j_arr))
         j_parts.append(np.maximum(i_arr, j_arr))
@@ -402,6 +494,7 @@ def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
     return _uh_count_from_masks(adjacency, sample.n, h)
 
 
+@np.errstate(over="ignore")
 def _counts_1d(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, float, list[int]]]:
     """Per row of a (k, n) stack of independent 1-D samples: the pairs within
     eps, the squared minimum distance and the lagged-triple counts at eps0,

@@ -388,6 +388,34 @@ def test_radius_whose_ball_volume_overflows_is_a_clean_failure(tmp_path, capsys,
     assert "overflows at " in err and f"dimension {d}" in err
 
 
+# two equal rows collide at every radius; where pi eps^2 is subnormal the
+# plug-in q2_hat = count / (C(n,2) pi eps^2) overflows
+_COLLIDING_2D = [[0.5, 1.5], [0.5, 1.5], [2.0, -1.0], [3.25, 0.75]]
+
+
+@pytest.mark.parametrize("rows,argv,message", [
+    (_COLLIDING_2D, ["keys", "--eps", "1e-160", "--size", "2"],
+     "q2_hat overflows at radius 1e-160 in dimension 2: the ball volume is subnormal"),
+    (_COLLIDING_2D, ["gof", "--eps", "1e-160"],
+     "q2_hat overflows at radius 1e-160 in dimension 2: the ball volume is subnormal"),
+    (_COLLIDING_2D, ["estimate", "--eps", "1e-160", "--eps0", "1"],
+     "q2_hat overflows at radius 1e-160 in dimension 2: the ball volume is subnormal"),
+    # q2_hat = 1/6 / (pi eps^2) is finite here, but w_hat divides it by the volume again
+    (_COLLIDING_2D, ["estimate", "--eps", "1.8e-155", "--eps0", "1"],
+     "estimates overflow at radius 1.8e-155 (eps0 1.0) in dimension 2"),
+    # three equal values: u3_hat divides the triples by the subnormal (2 eps0)^2
+    ([[0.0], [0.0], [0.0], [1.0], [2.0]], ["estimate", "--eps", "0.1", "--eps0", "1e-160"],
+     "estimates overflow at radius 0.1 (eps0 1e-160) in dimension 1"),
+])
+def test_subnormal_ball_volume_is_a_clean_failure(tmp_path, capsys, rows, argv, message):
+    path = str(tmp_path / "sample.csv")
+    write_sample_csv(SeriesSample(rows), path)
+    assert cli.main(argv[:1] + ["--input", path] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert "Infinity" not in out and "NaN" not in out
+    assert err == f"error: {message}\n"
+
+
 def test_argparse_failures_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", "--eps", "0.1"])  # --input missing

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -544,6 +546,130 @@ def test_subset_counts_reject_what_the_projection_rejects():
         count_subset_pairs(pts, [(0,)], math.inf)
     with pytest.raises(ValueError, match="two observations"):
         count_subset_pairs(pts[:1], [(0,)], 0.5)
+
+
+def _projection_counts(pts, subsets, eps):
+    return [count_close_pairs(SeriesSample(pts[:, list(s)]), eps).n_pairs_close for s in subsets]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+def test_subset_prefixes_shared_and_unshared(monkeypatch, block):
+    # (0, 1) is a prefix of three subsets of pivot 0, which share it with
+    # each other, and (0,) is kept beside it for (0, 2, 3); (1, 0, 2) and
+    # (2, 0, 1) hold the same columns in other orders
+    if block is not None:
+        monkeypatch.setattr(paircount, "_BLOCK", block)
+    gen = RngStream(74, 0).generator()
+    lattice = np.round(gen.normal(size=(80, 4)) * 3) / 4  # ties and pairs exactly eps apart
+    subsets = [(0, 1, 2), (0, 1, 3), (0, 1), (1, 0, 2), (2, 0, 1), (0, 1, 2), (3, 1), (1, 3, 0, 2),
+               (0, 2, 3), (0, 1, 2, 3)]
+    for pts, eps in ((_sample(73, 120, 4).points, 0.9), (lattice, 0.5), (lattice, 0.25)):
+        counts = count_subset_pairs(pts, subsets, eps)
+        assert counts == [brute_pair_count(pts[:, list(s)], eps) for s in subsets]
+        assert counts == _projection_counts(pts, subsets, eps)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+def test_last_block_reads_the_padding(monkeypatch, block):
+    # every point lies within eps of 0 and of every other point, so entries
+    # past the last sorted position would count, and lower the minimum, if
+    # the padding read as 0
+    if block is not None:
+        monkeypatch.setattr(paircount, "_BLOCK", block)
+    pts = _sample(75, 40, 3, scale=0.01).points + 0.05
+    eps = 0.5
+    s = SeriesSample(pts)
+    assert count_subset_pairs(pts, [(0, 1, 2), (2, 1), (0,)], eps) == [40 * 39 // 2] * 3
+    res = count_close_pairs(s, eps)
+    assert res.n_pairs_close == 40 * 39 // 2
+    assert res.min_distance == brute_min_distance(pts)
+    assert min_interpoint_distance(s) == brute_min_distance(pts)
+    assert set(zip(*(a.tolist() for a in close_pairs(s, eps)))) == brute_close_pairs(pts, eps)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_windows_wider_than_a_block(monkeypatch, block):
+    # at eps 3 most windows hold over 100 of the 150 points, so one row's
+    # window alone is a block, wider than _BLOCK
+    monkeypatch.setattr(paircount, "_BLOCK", block)
+    pts = _sample(76, 150, 3).points
+    eps = 3.0
+    assert int(paircount._pivot_windows(pts, 0, eps * eps)[1].max()) > 64
+    subsets = [(0, 1, 2), (0, 2), (1, 2), (2, 1, 0)]
+    assert count_subset_pairs(pts, subsets, eps) == [brute_pair_count(pts[:, list(s)], eps) for s in subsets]
+    s = SeriesSample(pts)
+    res = count_close_pairs(s, eps)
+    assert res.n_pairs_close == brute_pair_count(pts, eps)
+    assert res.min_distance == brute_min_distance(pts)
+    assert set(zip(*(a.tolist() for a in close_pairs(s, eps)))) == brute_close_pairs(pts, eps)
+
+
+def test_subset_pairs_exactly_eps_apart():
+    # 3-4-5 triangles: the squares and their sums are exact, so the pairs
+    # 5 apart count at eps 5 and not one ulp below
+    pts = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [3.0, 0.0, 4.0], [0.0, 4.0, 3.0], [6.0, 8.0, 0.0]])
+    subsets = [(0, 1), (1, 0), (0, 2), (2, 1), (0, 1, 2)]
+    below = float(np.nextafter(5.0, 0.0))
+    for eps in (5.0, below):
+        counts = count_subset_pairs(pts, subsets, eps)
+        assert counts == [brute_pair_count(pts[:, list(s)], eps) for s in subsets]
+        assert counts == _projection_counts(pts, subsets, eps)
+    # every subset has a pair exactly 5 apart
+    assert all(a > b for a, b in zip(count_subset_pairs(pts, subsets, 5.0),
+                                     count_subset_pairs(pts, subsets, below)))
+    # the pair (1, 2) of _BOUNDARY_6_2D is exactly 0.3 apart; (3, 4) coincide
+    assert count_subset_pairs(np.array(_BOUNDARY_6_2D), [(0, 1), (1, 0)], 0.3) == [2, 2]
+
+
+def test_subset_count_memory_is_bounded_by_blocks():
+    # the keys_3d_grid shape: every subset of 3 of 6 columns, n = 2000.  A
+    # group holds at most a buffer per column, one per kept prefix and one
+    # more, each of _BLOCK floats, beside O(n d) for the sort and the padded
+    # columns; at eps 3 nearly all 2e6 pairs are candidates
+    pts = _sample(77, 2000, 6).points
+    subsets = list(itertools.combinations(range(6), 3))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for eps in (0.3, 3.0):
+            tracemalloc.reset_peak()
+            count_subset_pairs(pts, subsets, eps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < (2 * 6 + 1) * paircount._BLOCK * 8 + 64 * 2000 * 6
+
+
+def test_high_dimensional_count_memory():
+    # one running sum and one scratch column at any d (4.2 MiB measured
+    # before the block buffers were reused)
+    s = _sample(78, 2000, 64)
+    tracemalloc.start()
+    try:
+        count_close_pairs(s, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * 2**20
+
+
+def test_intended_overflow_raises_no_warning():
+    # differences of +-1e308 overflow to inf, which the exact tests read as
+    # "far"; the counters say nothing about it
+    pts = np.array([[-1e308, 1e308], [1e308, -1e308], [0.0, 0.0], [1e308, 1e308],
+                    [-1e308, -1e308], [5.0, 5.0], [1e308, 1e308]])
+    with np.errstate(over="ignore"):
+        want = [brute_pair_count(pts[:, list(s)], 1e150) for s in ((0, 1), (1,), (1, 0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_subset_pairs(pts, [(0, 1), (1,), (1, 0)], 1e150) == want
+        assert count_close_pairs(SeriesSample(pts), 1e150).n_pairs_close == want[0]
+        assert count_close_pairs(SeriesSample(pts), 1.0).min_distance == 0.0
+        assert min_interpoint_distance(SeriesSample(pts[[0, 1, 2, 5], :1])) == 5.0
+        close_pairs(SeriesSample(pts), 1e150)
+        count_uh_triples(SeriesSample(pts), 1, 1e150)
+        estimate_report(SeriesSample(pts[:, :1]), EstimateConfig(eps=1e300, eps0=1e150, r=1))
+        estimate_report(SeriesSample(pts), EstimateConfig(eps=1e150, eps0=1e70, r=1))
 
 
 def _nudged_lattice(gen, n, step, shift):
