@@ -12,6 +12,7 @@ errors, each reported as a single `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,8 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves a parser unchanged, and a
+    # process that calls main in a loop would otherwise pay for 6
+    # subparsers and their arguments on every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = args.handler(args)
         _emit(doc, args.json_out)

@@ -223,46 +223,67 @@ _F = (
 )
 
 
-def _polyval(coeffs, x):
-    acc = np.zeros_like(x) + coeffs[-1]
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^i by Horner's rule from the top coefficient, in place."""
+    acc = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return acc
 
 
 def normal_quantile(p):
     """Standard normal quantile Phi^{-1}(p) for p in (0, 1).
 
-    Accepts scalars or arrays; raises on p outside the open interval.
+    Accepts scalars or arrays; raises on p outside the open interval, NaN
+    included.  Each value takes one of three AS 241 branches, and each
+    branch gathers its values once, contiguously, and evaluates them in one
+    fixed order: q A(r) / B(r) with q = p - 1/2, r = 0.180625 - q^2 where
+    |q| <= 0.425; otherwise, with s = sqrt(-log(min(p, 1 - p))),
+    C(s - 1.6) / D(s - 1.6) where s <= 5 and E(s - 5) / F(s - 5) beyond,
+    negated for p < 1/2; every polynomial by Horner's rule from its top
+    coefficient.  So a value's bits do not depend on the shape of p or on
+    the other values.
     """
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    q = arr - 0.5
-    out = np.empty_like(arr)
+    flat = arr.ravel()
+    # q = p - 1/2, overwritten by the quantiles one branch at a time
+    out = flat - 0.5
+    central = np.abs(out) <= 0.425
+    tail = np.flatnonzero(~central)
+    lower = out[tail] < 0.0
 
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _polyval(_A, r) / _polyval(_B, r)
+    at = np.flatnonzero(central)
+    if at.size:
+        q = out[at]
+        r = q * q
+        np.subtract(0.180625, r, out=r)
+        q *= _horner(_A, r)
+        q /= _horner(_B, r)
+        out[at] = q
 
-    if np.any(~central):
-        qt = q[~central]
-        pt = np.where(qt < 0.0, arr[~central], 1.0 - arr[~central])
-        r = np.sqrt(-np.log(pt))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        if np.any(near):
-            rr = r[near] - 1.6
-            val[near] = _polyval(_C, rr) / _polyval(_D, rr)
-        if np.any(~near):
-            rr = r[~near] - 5.0
-            val[~near] = _polyval(_E, rr) / _polyval(_F, rr)
-        out[~central] = np.where(qt < 0.0, -val, val)
+    if tail.size:
+        pt = flat[tail]
+        s = np.log(np.where(lower, pt, 1.0 - pt))
+        np.negative(s, out=s)
+        np.sqrt(s, out=s)
+        near = s <= 5.0
+        for branch, shift, num, den in ((near, 1.6, _C, _D), (~near, 5.0, _E, _F)):
+            at = np.flatnonzero(branch)
+            if at.size:
+                x = s[at]
+                x -= shift
+                val = _horner(num, x)
+                val /= _horner(den, x)
+                s[at] = val
+        np.negative(s, out=s, where=lower)
+        out[tail] = s
 
-    if np.isscalar(p) or arr.ndim == 0:
-        return float(out)
-    return out
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def normal_cdf(x):

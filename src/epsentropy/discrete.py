@@ -87,8 +87,9 @@ def _u3_count(codes: np.ndarray, freq: np.ndarray, n: int, h: int) -> int:
     tie share the freq_i - 2 other indices of their symbol.
     """
     m = n - h - 1
-    eq = (codes[:m] == codes[h : h + m]).astype(np.int64)
-    return _lagged_triples(freq - 1, h, eq, int(np.sum(eq * (freq[:m] - 2))))
+    eq = (codes[: n - h] == codes[h:]).astype(np.int64)
+    overlap = int(np.sum(eq[:m] * (freq[:m] - 2)))
+    return _lagged_triples(freq - 1, h, eq, overlap, np.empty_like(freq))
 
 
 def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:

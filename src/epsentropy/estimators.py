@@ -207,10 +207,10 @@ def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
     Every sample is checked before anything is counted.  1-D samples of
     equal n are stacked and counted a bounded number of values at a time
     (paircount._stacked_counts_1d): one sort along the rows, one window pass
-    and one 2-D operation per lag for all of them.  A d >= 2 sample keeps
-    its own pass: pairs at eps, then the pair structure at eps0 reused per
-    lag.  The counts are exact, so a report does not depend on the samples
-    it was counted with.
+    and a few 1-D passes over the flat stack per lag for all of them.  A
+    d >= 2 sample keeps its own pass: pairs at eps, then the pair structure
+    at eps0 reused per lag.  The counts are exact, so a report does not
+    depend on the samples it was counted with.
     """
     samples = list(samples)
     volumes = [_checked_volumes(s.n, s.d, config) for s in samples]

@@ -109,7 +109,13 @@ def gof_statistic(sample: SeriesSample, eps: float, delta: float = 0.1) -> GofRe
         raise ValueError("sample covariance is numerically singular; statistic undefined")
     root_det = float(np.prod(diag))
     constant = k_d(sample.d)
-    stat = math.exp(h2) / root_det
+    # each diagonal passed the check above, but their product may underflow
+    stat = math.exp(h2) / root_det if root_det else math.inf
+    if not math.isfinite(stat):
+        raise ValueError(
+            f"gof statistic overflows at radius {eps} in dimension {sample.d}: "
+            "the covariance determinant underflows"
+        )
     ratio = stat / constant
     return GofResult(
         n=n,

@@ -11,8 +11,10 @@ confirms it, and bisection on the test finds the rest.
 * d = 1: the windows are the answer.  Pair counts, the minimum distance and
   the lagged triples come from them in O(n log n) time and O(n) memory,
   exact by construction; a report sorts once.  A stack of equal-length
-  samples (the replicates of a study) is counted in the same pass, row by
-  row, with one sort along the rows and one array operation per lag.
+  samples (the replicates of a study) is counted in the same pass, with
+  one sort along the rows.  Each lag then runs as 1-D passes over the
+  flattened stack, pairing flat positions i and i+h, and sums each row's
+  anchors i <= n-h-2 alone, none of whose pairs crosses a row.
 * d >= 2: the windows hold every pair within eps, because a rounded sum of
   nonnegative squares is never below its first term.  The full squared
   distances of the window pairs, added column by column from the left, are
@@ -313,6 +315,7 @@ def _min_sq_distance(pts: np.ndarray) -> float:
     return _count_and_min_sq(pts, u_sq)[1]
 
 
+@np.errstate(over="ignore")
 def _rank_windows(v: np.ndarray, eps_sq: float) -> tuple[np.ndarray, np.ndarray]:
     """Windows [lo[p], hi[p]) of the sorted positions q within eps of v[p].
 
@@ -329,7 +332,8 @@ def _rank_windows(v: np.ndarray, eps_sq: float) -> tuple[np.ndarray, np.ndarray]
     together on the test itself, each between its row's start and itself.
     lo is nondecreasing along the flat positions and every lo stays in its
     own row, so by symmetry q > p lies in p's window iff lo[q] <= p, and
-    hi[p] counts the q with lo[q] <= p.
+    hi[p] counts the q with lo[q] <= p.  A gap or square that overflows is
+    inf, and the test on it is exact as it stands.
     """
     n = v.shape[-1]
     flat = v.ravel()
@@ -366,13 +370,17 @@ def _checked_eps(eps: float) -> float:
     return eps
 
 
-def _exact_sum(terms: np.ndarray, bound: int) -> np.ndarray:
+def _exact_sum(terms: np.ndarray, bound: int):
     """Exact integer sums along the last axis of int64 terms with |term| <= bound.
 
-    Chunks are short enough that no int64 partial sum can overflow; the
-    chunk sums add as Python ints, in an object array of shape
-    terms.shape[:-1] (0-d for 1-D terms).
+    When bound * length < 2^63 no partial sum can overflow and the sums are
+    int64 (an np.int64 for 1-D terms).  Otherwise chunks are short enough
+    that no int64 partial sum can overflow, and the chunk sums add as
+    Python ints, in an object array of shape terms.shape[:-1] (0-d for 1-D
+    terms).
     """
+    if bound * terms.shape[-1] < 2**63:
+        return terms.sum(axis=-1)
     step = max(1, (2**63 - 1) // max(bound, 1))
     total = np.zeros(terms.shape[:-1], dtype=object)
     for s in range(0, terms.shape[-1], step):
@@ -380,7 +388,7 @@ def _exact_sum(terms: np.ndarray, bound: int) -> np.ndarray:
     return total
 
 
-def _lagged_triples(deg: np.ndarray, h: int, adj: np.ndarray | None, overlap):
+def _lagged_triples(deg: np.ndarray, h: int, adj: np.ndarray | None, overlap, terms: np.ndarray):
     """Triples (i, j, k), i <= n-h-2, j in N(i), k in N(i+h), j != k, both
     outside {i, i+h}: sum_i (deg_i - adj_i)(deg_{i+h} - adj_i) - overlap.
 
@@ -388,16 +396,28 @@ def _lagged_triples(deg: np.ndarray, h: int, adj: np.ndarray | None, overlap):
     and overlap = sum_i |N(i) & N(i+h)|.  At lag 0 the two anchors coincide
     and the count is sum_i deg_i (deg_i - 1); adj and overlap are not read.
     A 1-D deg gives an int.  A (k, n) deg holds k independent samples, with
-    adj of shape (k, n-h-1) and one overlap per row, and gives a list of k
-    ints.
+    one overlap per row, and gives a list of k ints.
+
+    The terms are one pass over the flat degrees, pairing flat positions i
+    and i+h, written into terms (int64, at least deg.size values): adj
+    holds adj_i at flat position i for at least the first deg.size - h
+    positions, and is overwritten.  Only the anchors i <= n-h-2 of each row
+    are summed, and none of their pairs crosses a row, so the pairs that do
+    (and the adj entries there) are never read.
     """
     n = deg.shape[-1]
     m = n - h - 1
+    flat = deg.ravel()
+    size = flat.shape[0]
     if h == 0:
-        return _exact_sum(deg[..., :m] * (deg[..., :m] - 1), n * n).tolist()
-    terms = deg[..., :m] - adj
-    terms *= deg[..., h : h + m] - adj
-    total = _exact_sum(terms, n * n)
+        np.subtract(flat, 1, out=terms[:size])
+        terms[:size] *= flat
+        return _exact_sum(terms[:size].reshape(deg.shape)[..., :m], n * n).tolist()
+    head = size - h
+    np.subtract(flat[h:], adj[:head], out=terms[:head])
+    np.subtract(flat[:head], adj[:head], out=adj[:head])
+    terms[:head] *= adj[:head]
+    total = _exact_sum(terms[:size].reshape(deg.shape)[..., :m], n * n)
     total -= overlap
     return total.tolist()
 
@@ -466,14 +486,14 @@ def _uh_count_from_masks(adjacency: tuple[np.ndarray, np.ndarray], n: int, h: in
     """
     keys, deg = adjacency
     if h == 0:
-        return _lagged_triples(deg, 0, None, 0)
+        return _lagged_triples(deg, 0, None, 0, np.empty_like(deg))
     m = n - h - 1
     row, col = np.divmod(keys, n)
-    adj = np.bincount(row[col - row == h], minlength=n)[:m]
+    adj = np.bincount(row[col - row == h], minlength=n)
     early = col < m
     overlap = sum(int(np.count_nonzero((keys[s:] - keys[:-s] == h) & early[:-s]))
                   for s in range(1, h + 1))
-    return _lagged_triples(deg, h, adj, overlap)
+    return _lagged_triples(deg, h, adj, overlap, np.empty_like(deg))
 
 
 def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
@@ -507,41 +527,63 @@ def _counts_1d(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, 
     on the value, so the order of tied values in the sort changes no count.
     With W(i) the window of i (i itself included), deg_i = |W(i)| - 1,
     adj = [X_i ~ X_{i+h}], and the neighbours the two anchors share outside
-    {i, i+h} are |W(i) & W(i+h)| - 2 adj.  Each lag is O(k n).
+    {i, i+h} are |W(i) & W(i+h)| - 2 adj.  Each lag is O(k n): its
+    elementwise steps are 1-D passes over the flat stack, pairing flat
+    positions i and i+h (on a stack, numpy pays one inner loop per row for
+    a 2-D slice), written into three buffers of k*n values allocated once
+    per call.  Then only the anchors i <= n-h-2 of each row are summed (a
+    (k, n) view's [:, :n-h-1]), and no pair of those crosses a row.  The
+    sort's arrays are dropped before the buffers are taken, so the lags
+    reuse their memory.
     """
     k, n = x.shape
     # flat index of every sorted position's value in x.ravel()
     order = np.argsort(x, axis=1)
     order += np.arange(0, k * n, n)[:, None]
-    v = x.ravel()[order]
+    xf = x.ravel()
+    v = xf[order]
     eps_sq, eps0_sq = eps * eps, eps0 * eps0
     lo_s, hi_s = _rank_windows(v, eps0_sq)
     lo_pairs = lo_s if eps_sq == eps0_sq else _rank_windows(v, eps_sq)[0]
     # sum over each row of (p - lo[p]) in row positions
     n_close = n * (n - 1) // 2 - (lo_pairs.sum(axis=1) - n * np.arange(0, k * n, n))
-    lo = np.empty(k * n, dtype=np.int64)
-    hi = np.empty(k * n, dtype=np.int64)
+    min_sq = _sorted_min_sq(v)
+    del v, lo_pairs
+    size = k * n
+    lo = np.empty(size, dtype=np.int64)
+    hi = np.empty(size, dtype=np.int64)
     lo[order] = lo_s
     hi[order] = hi_s
-    lo, hi = lo.reshape(k, n), hi.reshape(k, n)
-    deg = hi - lo - 1
+    del order, lo_s, hi_s
+    deg = (hi - lo).reshape(k, n)
+    deg -= 1
+    # the lag buffers, each holding two values in turn: the squared gaps are
+    # read before the window edges are written over them, and the shared
+    # counts before the triple terms are
+    sq = np.empty(size)
+    edge = sq.view(np.int64)
+    adj = np.empty(size, dtype=np.int64)
+    shared = np.empty(size, dtype=np.int64)
     counts = []
     for h in lags:
         if h == 0:
-            counts.append(_lagged_triples(deg, 0, None, None))
+            counts.append(_lagged_triples(deg, 0, None, None, shared))
             continue
         m = n - h - 1
-        sq = x[:, :m] - x[:, h : h + m]
-        sq *= sq
-        adj = (sq <= eps0_sq).astype(np.int64)
-        shared = np.minimum(hi[:, :m], hi[:, h : h + m])
-        shared -= np.maximum(lo[:, :m], lo[:, h : h + m])
-        np.maximum(shared, 0, out=shared)
-        overlap = shared.sum(axis=1) - 2 * adj.sum(axis=1)
-        counts.append(_lagged_triples(deg, h, adj, overlap))
+        head = size - h
+        np.subtract(xf[:head], xf[h:], out=sq[:head])
+        np.multiply(sq[:head], sq[:head], out=sq[:head])
+        np.less_equal(sq[:head], eps0_sq, out=adj[:head])
+        np.minimum(hi[:head], hi[h:], out=shared[:head])
+        np.maximum(lo[:head], lo[h:], out=edge[:head])
+        np.subtract(shared[:head], edge[:head], out=shared[:head])
+        np.maximum(shared[:head], 0, out=shared[:head])
+        overlap = shared.reshape(k, n)[:, :m].sum(axis=1)
+        overlap -= 2 * adj.reshape(k, n)[:, :m].sum(axis=1)
+        counts.append(_lagged_triples(deg, h, adj, overlap, shared))
     return [
-        (c, min_sq, [lag[r] for lag in counts])
-        for r, (c, min_sq) in enumerate(zip(n_close.tolist(), _sorted_min_sq(v).tolist()))
+        (c, sq_min, [lag[r] for lag in counts])
+        for r, (c, sq_min) in enumerate(zip(n_close.tolist(), min_sq.tolist()))
     ]
 
 

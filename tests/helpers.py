@@ -19,6 +19,10 @@ from scipy import integrate
 # combinatorial oracles
 # ---------------------------------------------------------------------------
 
+# A gap or square past the float range is inf, as in the package, and the
+# comparisons on it stay exact, so the oracles run with overflow ignored.
+
+@np.errstate(over="ignore")
 def brute_pair_count(points, eps: float) -> int:
     pts = np.asarray(points, dtype=np.float64)
     eps_sq = eps * eps
@@ -30,6 +34,7 @@ def brute_pair_count(points, eps: float) -> int:
     return total
 
 
+@np.errstate(over="ignore")
 def brute_close_pairs(points, eps: float) -> set[tuple[int, int]]:
     pts = np.asarray(points, dtype=np.float64)
     eps_sq = eps * eps
@@ -41,6 +46,7 @@ def brute_close_pairs(points, eps: float) -> set[tuple[int, int]]:
     return out
 
 
+@np.errstate(over="ignore")
 def brute_min_distance(points) -> float:
     pts = np.asarray(points, dtype=np.float64)
     best = math.inf
@@ -50,6 +56,7 @@ def brute_min_distance(points) -> float:
     return math.sqrt(best)
 
 
+@np.errstate(over="ignore")
 def brute_uh_count(points, h: int, eps0: float) -> int:
     """Literal enumeration of lagged triples: anchors (i, i+h), witnesses j, k."""
     pts = np.asarray(points, dtype=np.float64)
@@ -133,6 +140,117 @@ def brute_discrete_uh_count(symbols, h: int) -> int:
                 if same[i + h][k]:
                     total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# reference normal quantile
+# ---------------------------------------------------------------------------
+
+# A frozen copy of the package's former AS 241 (PPND16) evaluation: boolean
+# masks, q[central] gathered again for each use, and a polynomial helper
+# that allocates per step.  The package's one-pass version must agree with
+# it bit for bit on every input.
+_REF_A = (
+    3.3871328727963666080e0,
+    1.3314166789178437745e2,
+    1.9715909503065514427e3,
+    1.3731693765509461125e4,
+    4.5921953931549871457e4,
+    6.7265770927008700853e4,
+    3.3430575583588128105e4,
+    2.5090809287301226727e3,
+)
+_REF_B = (
+    1.0,
+    4.2313330701600911252e1,
+    6.8718700749205790830e2,
+    5.3941960214247511077e3,
+    2.1213794301586595867e4,
+    3.9307895800092710610e4,
+    2.8729085735721942674e4,
+    5.2264952788528545610e3,
+)
+_REF_C = (
+    1.42343711074968357734e0,
+    4.63033784615654529590e0,
+    5.76949722146069140550e0,
+    3.64784832476320460504e0,
+    1.27045825245236838258e0,
+    2.41780725177450611770e-1,
+    2.27238449892691845833e-2,
+    7.74545014278341407640e-4,
+)
+_REF_D = (
+    1.0,
+    2.05319162663775882187e0,
+    1.67638483018380384940e0,
+    6.89767334985100004550e-1,
+    1.48103976427480074590e-1,
+    1.51986665636164571966e-2,
+    5.47593808499534494600e-4,
+    1.05075007164441684324e-9,
+)
+_REF_E = (
+    6.65790464350110377720e0,
+    5.46378491116411436990e0,
+    1.78482653991729133580e0,
+    2.96560571828504891230e-1,
+    2.65321895265761230930e-2,
+    1.24266094738807843860e-3,
+    2.71155556874348757815e-5,
+    2.01033439929228813265e-7,
+)
+_REF_F = (
+    1.0,
+    5.99832206555887937690e-1,
+    1.36929880922735805310e-1,
+    1.48753612908506148525e-2,
+    7.86869131145613259100e-4,
+    1.84631831751005468180e-5,
+    1.42151175831644588870e-7,
+    2.04426310338993978564e-15,
+)
+
+
+
+def _ref_polyval(coeffs, x):
+    acc = np.zeros_like(x) + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def mask_normal_quantile(p):
+    """Phi^{-1}(p) for p in (0, 1), evaluated as the package did before its
+    one-pass form."""
+    arr = np.asarray(p, dtype=np.float64)
+    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    q = arr - 0.5
+    out = np.empty_like(arr)
+
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] ** 2
+        out[central] = q[central] * _ref_polyval(_REF_A, r) / _ref_polyval(_REF_B, r)
+
+    if np.any(~central):
+        qt = q[~central]
+        pt = np.where(qt < 0.0, arr[~central], 1.0 - arr[~central])
+        r = np.sqrt(-np.log(pt))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if np.any(near):
+            rr = r[near] - 1.6
+            val[near] = _ref_polyval(_REF_C, rr) / _ref_polyval(_REF_D, rr)
+        if np.any(~near):
+            rr = r[~near] - 5.0
+            val[~near] = _ref_polyval(_REF_E, rr) / _ref_polyval(_REF_F, rr)
+        out[~central] = np.where(qt < 0.0, -val, val)
+
+    if np.isscalar(p) or arr.ndim == 0:
+        return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,21 @@ def test_subnormal_ball_volume_is_a_clean_failure(tmp_path, capsys, rows, argv, 
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("scale,eps", [
+    (1e-120, "1e-100"),  # the root determinant underflows to 0
+    (1e-103, "1e-104"),  # it is subnormal, and the statistic overflows
+])
+def test_covariance_determinant_that_underflows_is_a_clean_failure(tmp_path, capsys, scale, eps):
+    # every Cholesky diagonal passes the singularity check, but not their product
+    path = str(tmp_path / "sample.csv")
+    write_sample_csv(SeriesSample(np.random.default_rng(0).standard_normal((200, 3)) * scale), path)
+    assert cli.main(["gof", "--input", path, "--eps", eps]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: gof statistic overflows at radius {eps} in dimension 3: "
+                   "the covariance determinant underflows\n")
+
+
 def test_argparse_failures_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", "--eps", "0.1"])  # --input missing
@@ -459,3 +474,53 @@ def test_console_script_is_installed():
         # alone misses a dropped subparser; the usage line's choices do not.
         choices = re.search(r"\{(.*?)\}", proc.stdout.splitlines()[0]).group(1)
         assert sorted(choices.split(",")) == sorted(names)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _run(argvs, capsys):
+    outcomes = []
+    for argv in argvs:
+        code = cli.main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_one(tmp_path, capsys, monkeypatch, sample_csv,
+                                                     table_csv, symbols_csv):
+    plan, _ = _plan_file(tmp_path)
+    argvs = [
+        ["estimate", "--input", sample_csv[0], "--eps", "0.1", "--r", "2", "--ci", "sqrtn",
+         "--exp-pivot"],
+        ["simulate", "--plan", plan, "--seed", "5"],
+        ["gof", "--input", sample_csv[0], "--eps", "0.25"],
+        ["keys", "--input", table_csv[0], "--eps", "1.0", "--size", "2"],
+        ["generate", "--family", "iid_uniform", "--params", '{"d": 2}', "--n", "30",
+         "--output", str(tmp_path / "gen.csv")],
+        ["discrete", "--input", symbols_csv[0], "--r", "1"],
+    ]
+    assert cli._parser() is cli._parser()
+    reused = _run(argvs, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _run(argvs, capsys)
+    assert [code for code, _, _ in reused] == [0] * 6
+    assert reused == fresh
+
+
+def test_parser_survives_an_argparse_exit(sample_csv, capsys):
+    argv = ["estimate", "--input", sample_csv[0], "--eps", "0.1"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr()
+    for bad in (["estimate", "--eps", "0.1"], argv[:-1] + ["wide"], ["estimate"] + argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == first
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from helpers import mask_normal_quantile
 
 from epsentropy.core import (
     MAX_DIM,
@@ -165,12 +166,59 @@ def test_normal_quantile_of_a_stack_is_each_row_alone():
         assert out.tobytes() == normal_quantile(row).tobytes()
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
 def test_normal_quantile_domain(p):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly inside"):
         normal_quantile(p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly inside"):
         normal_quantile(np.array([0.5, p]))
+
+
+# the smallest and largest p, and the values on both sides of the branch
+# edges: |p - 1/2| = 0.425 and sqrt(-log p) = 5
+_P_EDGES = [
+    v
+    for edge in (5e-324, 2.0**-54, 1e-300, 0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
+    for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))
+    if 0.0 < v < 1.0
+] + [0.5, 1.0 - 2.0**-53]
+_P_VALUES = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e-11, exclude_min=True),
+    st.floats(0.0, 1e-11, exclude_min=True).map(lambda t: 1.0 - t).filter(lambda p: p < 1.0),
+    st.sampled_from(_P_EDGES),
+)
+
+
+@st.composite
+def _quantile_inputs(draw):
+    """A Python float, a 0-d array, or a 1-D, 2-D, strided or transposed array."""
+    kind = draw(st.sampled_from(["float", "0-d", "1-d", "2-d", "strided", "transposed"]))
+    if kind == "float":
+        return draw(_P_VALUES)
+    if kind == "0-d":
+        return np.array(draw(_P_VALUES))
+    if kind == "1-d":
+        shape = (draw(st.integers(0, 40)),)
+    else:
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 40)))
+    arr = draw(hnp.arrays(np.float64, shape, elements=_P_VALUES))
+    if kind == "strided":
+        return arr[:, ::2]
+    return arr.T if kind == "transposed" else arr
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_quantile_inputs())
+@example(np.array(_P_EDGES))
+@example(5e-324)
+@example(1.0 - 2.0**-53)
+def test_normal_quantile_is_bit_identical_to_the_mask_form(p):
+    got, want = normal_quantile(p), mask_normal_quantile(p)
+    if np.ndim(p) == 0:
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_normal_cdf_matches_scipy():

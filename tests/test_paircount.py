@@ -347,6 +347,53 @@ def test_stacked_counts_match_each_row_alone(case):
         assert counts[h] == brute_uh_count(col, h, eps0)
 
 
+@st.composite
+def _seamed_stack(draw):
+    """(x, eps, eps0, r): 2-5 rows on a 2^-4 grid, each ending within eps0 of
+    where the next row starts, so every flat lag pair that crosses a row
+    is close; eps != eps0, ties, and rows as short as n = r + 4."""
+    k = draw(st.integers(2, 5))
+    r = draw(st.integers(0, 5))
+    n = draw(st.sampled_from([r + 4, r + 5, 14]))
+    ticks = draw(st.lists(st.integers(-12, 12), min_size=k * n, max_size=k * n))
+    x = np.array(ticks, dtype=np.float64).reshape(k, n)
+    e, e0 = draw(st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True))
+    seam = draw(st.integers(1, min(r + 1, n)))
+    for i in range(k - 1):
+        shifts = draw(st.lists(st.integers(-e0, e0), min_size=seam, max_size=seam))
+        x[i, n - seam :] = x[i + 1, :seam] + shifts
+    return x * 2.0**-4, e * 2.0**-4, e0 * 2.0**-4, r
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_seamed_stack())
+def test_stacked_lags_match_brute_counts_across_row_seams(case):
+    x, eps, eps0, r = case
+    lags = range(r + 1)
+    rows = paircount._counts_1d(x, eps, eps0, lags)
+    for row, (n_close, min_sq, counts) in zip(x, rows):
+        assert (n_close, min_sq, counts) == paircount._counts_1d(row[None], eps, eps0, lags)[0]
+        col = row[:, None]
+        assert n_close == brute_pair_count(col, eps)
+        assert math.sqrt(min_sq) == brute_min_distance(col)
+        assert counts == [brute_uh_count(col, h, eps0) for h in lags]
+
+
+def test_exact_sum_int64_at_its_bound():
+    # bound * length = 2^63 - 1: every partial sum fits, so the sums stay int64
+    from epsentropy.paircount import _exact_sum
+
+    bound = (2**63 - 1) // 7
+    terms = np.array([[bound] * 7, [-bound] * 7, [bound, -bound] * 3 + [bound]], dtype=np.int64)
+    want = [2**63 - 1, -(2**63 - 1), bound]
+    total = _exact_sum(terms, bound)
+    assert total.dtype == np.int64 and total.tolist() == want
+    assert _exact_sum(terms[0], bound) == 2**63 - 1
+    # one past it the chunks add as Python ints
+    total = _exact_sum(terms, bound + 1)
+    assert total.dtype == object and total.tolist() == want
+
+
 def test_stacked_counts_are_bounded_chunks(monkeypatch):
     # three stacks of two rows and one of one row give the same counts as one stack
     x = np.round(RngStream(68, 0).generator().normal(size=(7, 50)) * 8) / 8

@@ -4,9 +4,10 @@ perfbench/run.py is read by whatever compares two checkouts, which parses
 only its last stdout line.  A run that exits 0 but ends in anything else
 (a warning, a summary line, a NaN metric) cannot be compared, so this test
 runs every workload traced for the shortest possible time and checks that
-line.  It runs with PYTHONDONTWRITEBYTECODE=1 and checks that nothing under
-perfbench/ was written: the run's own work directory lives under the
-git-ignored .perfbench_work/ and run.py removes it.
+line, and that each workload reports exactly the per-layer metrics of
+BENCHMARK.json.  It runs with PYTHONDONTWRITEBYTECODE=1 and checks that
+nothing under perfbench/ was written: the run's own work directory lives
+under the git-ignored .perfbench_work/ and run.py removes it.
 """
 
 import json
@@ -52,4 +53,13 @@ def test_traced_run_ends_in_a_strict_json_result():
         or not math.isfinite(m["value"])
     }
     assert bad == {}
+    # every workload carries exactly the per-layer metrics BENCHMARK.json
+    # declares; a patch point that is renamed or removed drops its metric
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    per_layer = {m["name"] for m in bench["per_layer"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+    traced = {w: {name[len(w) + 1 :] for name in result["metrics"] if name.startswith(w + ".")}
+              for w in workloads}
+    assert traced == {w: per_layer for w in workloads}
+    assert len(result["metrics"]) == len(workloads) * len(per_layer)
     assert _tree(PERFBENCH) == before
