@@ -66,7 +66,7 @@ def _cmd_estimate(args: argparse.Namespace) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     with open(args.plan) as fh:
         plan_doc = json.load(fh)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(plan_doc, dict):
         plan_doc["base_seed"] = args.seed
     plan = SimulationPlan.from_json(plan_doc)
     outcome = run_residual_study(plan)

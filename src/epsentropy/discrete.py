@@ -131,7 +131,7 @@ def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:
         qn=q,
         h2_hat=-math.log(max(q, 1.0 / sample.n)),
         u3_hat=u3,
-        s2_hat=_zeta_from(q, u3),
+        s2_hat=float(_zeta_from(np.array([q]), np.array([u3]))[0]),
     )
 
 

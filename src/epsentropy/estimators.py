@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,18 +134,19 @@ def triple_normalizer(n: int, h: int) -> int:
     return (n - h - 1) * (n - 2) * (n - 3)
 
 
-def _zeta_from(q2_hat: float, u3: tuple[float, ...]) -> float:
+def _zeta_from(q2_hat: np.ndarray, u3: np.ndarray) -> np.ndarray:
     """(u3[0] - q^2) + 2 sum_{h=1}^{r} (u3[h] - q^2), the long-run variance plug-in.
 
     Deliberately not clamped: small negative values are informative (they
     flag a weak signal or an r far above the true dependence range).  The
-    discrete side uses the same formula for s2.
+    discrete side uses the same formula for s2.  Over k samples: q2_hat of
+    shape (k,) and u3 of shape (k, r+1).  The terms are added in lag order
+    (np.add.accumulate is a left fold), as the sum is written.
     """
     q_sq = q2_hat * q2_hat
-    z = u3[0] - q_sq
-    for uh in u3[1:]:
-        z += 2.0 * (uh - q_sq)
-    return z
+    terms = u3 - q_sq[:, None]
+    terms[:, 1:] *= 2.0
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _checked_volumes(n: int, d: int, config: EstimateConfig) -> tuple[float, float]:
@@ -165,40 +167,58 @@ def _checked_volumes(n: int, d: int, config: EstimateConfig) -> tuple[float, flo
     return b_eps, b2
 
 
-def _report_from_counts(n: int, d: int, config: EstimateConfig, volumes: tuple[float, float],
-                        n_close: int, min_distance: float, counts: list[int]) -> EstimateReport:
-    """The estimates from the exact pair and lagged-triple counts, with
-    volumes from _checked_volumes."""
+class _Estimates(NamedTuple):
+    """The estimates of k samples, one entry per sample (a row of u3)."""
+
+    qn: np.ndarray
+    q2: np.ndarray
+    h2: np.ndarray
+    u3: np.ndarray
+    h3: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    finite: np.ndarray
+
+    def check(self, config: EstimateConfig, d: int) -> None:
+        """Raise the report error of the first sample whose estimates are not all finite."""
+        bad = np.flatnonzero(~self.finite)
+        if bad.size:
+            checked_q2(float(self.q2[bad[0]]), config.eps, d)
+            # a subnormal ball volume at eps or eps0 (w divides q2 by b_eps once more)
+            raise ValueError(f"estimates overflow at radius {config.eps} "
+                             f"(eps0 {config.resolved_eps0}) in dimension {d}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _estimates(n: int, d: int, config: EstimateConfig, volumes: tuple[float, float],
+               n_close, triples) -> _Estimates:
+    """The estimates of k samples of n points in R^d from their exact counts.
+
+    n_close holds the k pair counts and triples the k lists of r+1
+    lagged-triple counts; volumes come from _checked_volumes.  Every step
+    is elementwise in the order of the one-sample formula, converting each
+    count to float once.  The logs are math.log per value, since numpy's
+    log may round differently from libm's; np.sqrt is correctly rounded,
+    as math.sqrt is.  So a sample's estimates have the same bits whatever
+    samples it is computed with.
+    Nothing raises here: finite flags the samples whose estimates are all
+    finite, and check() raises for the first other one.
+    """
     b_eps, b2 = volumes
-    qn = n_close / (n * (n - 1) / 2)
-    q2 = checked_q2(qn / b_eps, config.eps, d)
-    h2 = -math.log(max(q2, 1.0 / n))
-    u3 = tuple(c / (triple_normalizer(n, h) * b2) for h, c in enumerate(counts))
-    h3 = -0.5 * math.log(max(u3[0], 1.0 / n))
+    floor = 1.0 / n
+    qn = np.asarray(n_close, dtype=np.float64) / (n * (n - 1) / 2)
+    q2 = qn / b_eps
+    q2_floored = np.maximum(q2, floor)
+    h2 = np.array([-math.log(v) for v in q2_floored.tolist()])
+    norm = np.array([triple_normalizer(n, h) * b2 for h in range(config.r + 1)])
+    u3 = np.asarray(triples, dtype=np.float64).reshape(-1, norm.shape[0]) / norm
+    h3 = np.array([-0.5 * math.log(v) for v in np.maximum(u3[:, 0], floor).tolist()])
     z = _zeta_from(q2, u3)
-    w = math.sqrt(2.0 * q2 / (n * b_eps) + 4.0 * max(z, 1.0 / n))
-    u = math.sqrt(2.0 * max(q2, 1.0 / n) / unit_ball_volume(d))
-    if not all(map(math.isfinite, (h2, *u3, h3, z, w, u))):
-        # a subnormal ball volume at eps or eps0 (w divides q2 by b_eps once more)
-        raise ValueError(f"estimates overflow at radius {config.eps} (eps0 {config.resolved_eps0}) "
-                         f"in dimension {d}")
-    return EstimateReport(
-        n=n,
-        d=d,
-        eps=float(config.eps),
-        eps0=config.resolved_eps0,
-        r=config.r,
-        n_pairs_close=n_close,
-        min_distance=min_distance,
-        qn_raw=qn,
-        q2_hat=q2,
-        h2_hat=h2,
-        u3_hat=u3,
-        h3_hat=h3,
-        zeta_hat=z,
-        w_hat=w,
-        u_hat=u,
-    )
+    w = np.sqrt(2.0 * q2 / (n * b_eps) + 4.0 * np.maximum(z, floor))
+    u = np.sqrt(2.0 * q2_floored / unit_ball_volume(d))
+    finite = np.isfinite(np.column_stack((u3, q2, h2, h3, z, w, u))).all(axis=1)
+    return _Estimates(qn, q2, h2, u3, h3, z, w, u, finite)
 
 
 def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
@@ -209,29 +229,50 @@ def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
     (paircount._stacked_counts_1d): one sort along the rows, one window pass
     and a few 1-D passes over the flat stack per lag for all of them.  A
     d >= 2 sample keeps its own pass: pairs at eps, then the pair structure
-    at eps0 reused per lag.  The counts are exact, so a report does not
-    depend on the samples it was counted with.
+    at eps0 reused per lag.  The estimates of the samples of one shape come
+    from their counts as arrays (_estimates).  The counts are exact, so a
+    report does not depend on the samples it was counted with.
     """
     samples = list(samples)
-    volumes = [_checked_volumes(s.n, s.d, config) for s in samples]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, s in enumerate(samples):
+        groups.setdefault((s.n, s.d), []).append(i)
+    # in order of first appearance, so the first failing sample names the error
+    volumes = {shape: _checked_volumes(*shape, config) for shape in groups}
     eps, eps0 = float(config.eps), config.resolved_eps0
     lags = range(config.r + 1)
-    counts: list = [None] * len(samples)
-    by_n: dict[int, list[int]] = {}
-    for i, s in enumerate(samples):
-        if s.d == 1:
-            by_n.setdefault(s.n, []).append(i)
+    counted = {}
+    for (n, d), idx in groups.items():
+        if d == 1:
+            rows = _stacked_counts_1d([samples[i].points[:, 0] for i in idx], eps, eps0, lags)
+            counted[n, d] = [(c, math.sqrt(min_sq), t) for c, min_sq, t in rows]
             continue
-        pair_res = count_close_pairs(s, eps)
-        adjacency = _adjacency_masks(s.n, *close_pairs(s, eps0))
-        counts[i] = (pair_res.n_pairs_close, pair_res.min_distance,
-                     [_uh_count_from_masks(adjacency, s.n, h) for h in lags])
-    for idx in by_n.values():
-        rows = _stacked_counts_1d([samples[i].points[:, 0] for i in idx], eps, eps0, lags)
-        for i, (n_close, min_sq, c) in zip(idx, rows):
-            counts[i] = (n_close, math.sqrt(min_sq), c)
-    return [_report_from_counts(s.n, s.d, config, v, *c)
-            for s, v, c in zip(samples, volumes, counts)]
+        counted[n, d] = []
+        for i in idx:
+            pair_res = count_close_pairs(samples[i], eps)
+            adjacency = _adjacency_masks(n, *close_pairs(samples[i], eps0))
+            counted[n, d].append((pair_res.n_pairs_close, pair_res.min_distance,
+                                  [_uh_count_from_masks(adjacency, n, h) for h in lags]))
+    estimates = {shape: _estimates(*shape, config, volumes[shape], [c for c, _, _ in rows],
+                                   [t for _, _, t in rows])
+                 for shape, rows in counted.items()}
+    # the first failing sample in list order names the error
+    failing = [(idx[int(np.argmin(e.finite))], shape)
+               for (shape, idx), e in zip(groups.items(), estimates.values()) if not e.finite.all()]
+    if failing:
+        shape = min(failing)[1]
+        estimates[shape].check(config, shape[1])
+    reports: list = [None] * len(samples)
+    for (n, d), idx in groups.items():
+        e = estimates[n, d]
+        fields = zip(idx, counted[n, d], e.qn.tolist(), e.q2.tolist(), e.h2.tolist(),
+                     e.u3.tolist(), e.h3.tolist(), e.z.tolist(), e.w.tolist(), e.u.tolist())
+        for i, (c, min_distance, _), qn, q2, h2, u3, h3, z, w, u in fields:
+            reports[i] = EstimateReport(
+                n=n, d=d, eps=eps, eps0=eps0, r=config.r, n_pairs_close=c,
+                min_distance=min_distance, qn_raw=qn, q2_hat=q2, h2_hat=h2, u3_hat=tuple(u3),
+                h3_hat=h3, zeta_hat=z, w_hat=w, u_hat=u)
+    return reports
 
 
 def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateReport:
@@ -243,6 +284,25 @@ def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateRep
     return estimate_reports((sample,), config)[0]
 
 
+def _scaler(kind: ResidualKind, w_hat, u_hat):
+    """The residual's scale: w_hat in the sqrt(n) regime, u_hat in the n eps^{d/2} one."""
+    return w_hat if kind in (ResidualKind.Q_SQRTN, ResidualKind.H_SQRTN) else u_hat
+
+
+def _checked_scale(scale: float) -> None:
+    if not scale > 0.0:
+        raise ValueError(f"degenerate scaler {scale}; residual undefined")
+
+
+def _residual(kind: ResidualKind, truth: float, n: int, eps: float, d: int, q2_hat, h2_hat, scale):
+    """The pivotal residual from the estimates, elementwise over arrays of them."""
+    sqrt_n = kind in (ResidualKind.Q_SQRTN, ResidualKind.H_SQRTN)
+    root = math.sqrt(n) if sqrt_n else n * eps ** (d / 2.0)
+    if kind in (ResidualKind.Q_SQRTN, ResidualKind.Q_NEPS):
+        return root * (q2_hat - truth) / scale
+    return root * q2_hat * (h2_hat - truth) / scale
+
+
 def residual_from_report(report: EstimateReport, truth: float, kind: ResidualKind) -> float:
     """Pivotal residual from an existing report.
 
@@ -251,18 +311,10 @@ def residual_from_report(report: EstimateReport, truth: float, kind: ResidualKin
     standard normal.
     """
     kind = ResidualKind(kind)
-    truth = float(truth)
-    n = report.n
-    if kind in (ResidualKind.Q_SQRTN, ResidualKind.H_SQRTN):
-        scale = report.w_hat
-    else:
-        scale = report.u_hat
-    if not scale > 0.0:
-        raise ValueError(f"degenerate scaler {scale}; residual undefined")
-    root = math.sqrt(n) if kind in (ResidualKind.Q_SQRTN, ResidualKind.H_SQRTN) else n * report.eps ** (report.d / 2.0)
-    if kind in (ResidualKind.Q_SQRTN, ResidualKind.Q_NEPS):
-        return root * (report.q2_hat - truth) / scale
-    return root * report.q2_hat * (report.h2_hat - truth) / scale
+    scale = _scaler(kind, report.w_hat, report.u_hat)
+    _checked_scale(scale)
+    return _residual(kind, float(truth), report.n, report.eps, report.d, report.q2_hat,
+                     report.h2_hat, scale)
 
 
 def residual(sample: SeriesSample, config: EstimateConfig, truth: float, kind: ResidualKind) -> float:

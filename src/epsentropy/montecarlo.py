@@ -3,12 +3,15 @@
 A study is a plan (process, sample size, estimation config, residual kind,
 base seed) executed over independent replicates.  Replicate i always draws
 from stream i of the base seed, so a single replicate can be re-run in
-isolation.  Generation has two layers (processes.Sampler): each
-replicate's uniforms are drawn one stream after another, in index order, on
-the calling thread; then the drawn rows are shaped into samples a stack at
-a time (at most paircount._STACK_VALUES values), so normal_quantile and the
-other elementwise work run once per stack.  The 1-D samples are then
-counted together, again as stacks of bounded size.
+isolation.  A study is one stream of stacks: the replicates' uniforms are
+drawn one stream after another, in index order, on the calling thread
+(processes.Sampler.draw); each time the drawn rows hold
+paircount._STACK_VALUES values, or the last replicate is drawn, they are
+shaped as one stack (Sampler.transform, so normal_quantile and the other
+elementwise work run once per stack), checked finite, counted (1-D stacks
+in one pass) and dropped.  A study keeps only the counts, so its memory is
+one stack however many replicates it runs; the estimates and residuals
+then come from the counts as arrays.
 
 The three probes mirror the three limit regimes of the close-pair count:
 residual batches against N(0,1) when n eps^d is moderate-to-large, the
@@ -19,23 +22,34 @@ moment ratios against their closed-form asymptotes.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import paircount
 from .asymptotics import PoissonApprox
-from .core import RngStream, SeriesSample, ball_volume, normal_cdf, unit_ball_volume
+from .core import RngStream, ball_volume, normal_cdf, unit_ball_volume
 from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
 from .estimators import (
     EstimateConfig,
     ResidualKind,
+    _checked_scale,
     _checked_volumes,
-    estimate_reports,
-    residual_from_report,
+    _estimates,
+    _residual,
+    _scaler,
 )
 from .estimators import estimate_report  # noqa: F401  (unused; perfbench/spans.py wraps it)
-from .paircount import _STACK_VALUES, _checked_eps, _stacked_counts_1d, count_subset_pairs
+from .paircount import (
+    _adjacency_masks,
+    _checked_eps,
+    _close_pairs,
+    _counts_1d,
+    _uh_count_from_masks,
+    count_subset_pairs,
+)
 from .processes import ProcessSpec, Sampler, sampler
 from .processes import generate  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
@@ -97,18 +111,39 @@ class SimulationPlan:
 
     @staticmethod
     def from_json(doc: dict) -> "SimulationPlan":
+        """The plan of a JSON document; raises a ValueError naming a field
+        that is missing or of the wrong JSON type."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"plan must be an object, got {type(doc).__name__}")
+        eps0 = _plan_field(doc, "eps0", (int, float, type(None)), "a number or null", None)
         return SimulationPlan(
-            spec=ProcessSpec.from_json(doc["spec"]),
-            n=int(doc["n"]),
-            n_sim=int(doc["n_sim"]),
+            spec=ProcessSpec.from_json(_plan_field(doc, "spec", dict, "an object")),
+            n=_plan_field(doc, "n", int, "an integer"),
+            n_sim=_plan_field(doc, "n_sim", int, "an integer"),
             config=EstimateConfig(
-                eps=float(doc["eps"]),
-                eps0=None if doc.get("eps0") is None else float(doc["eps0"]),
-                r=int(doc.get("r", 0)),
+                eps=float(_plan_field(doc, "eps", (int, float), "a number")),
+                eps0=None if eps0 is None else float(eps0),
+                r=_plan_field(doc, "r", int, "an integer", 0),
             ),
-            kind=ResidualKind(doc["kind"]),
-            base_seed=int(doc.get("base_seed", DEFAULT_SEED)),
+            kind=ResidualKind(_plan_field(doc, "kind", str, "a string")),
+            base_seed=_plan_field(doc, "base_seed", int, "an integer", DEFAULT_SEED),
         )
+
+
+_REQUIRED = object()
+
+
+def _plan_field(doc: dict, name: str, types, what: str, default=_REQUIRED):
+    """doc[name], or default when absent, checked to be one of the JSON types
+    (a bool is not a number)."""
+    if name not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"plan field {name!r} is missing")
+        return default
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"plan field {name!r} must be {what}, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -220,65 +255,121 @@ def ks_test(data, cdf="std_normal") -> tuple[float, float]:
 # replicate orchestration
 # ---------------------------------------------------------------------------
 
+class _NamedFailure(RuntimeError):
+    """A replicate failure whose message names its replicate already."""
+
+
 def _replicate_map(n_sim: int, base_seed: int, task) -> list:
     """[task(i, stream_i) for i in 0..n_sim-1], run in index order."""
     results = []
     for i in range(n_sim):
         try:
             results.append(task(i, RngStream(base_seed, i)))
+        except _NamedFailure:
+            raise
         except Exception as exc:
             raise RuntimeError(f"replicate {i}: {exc}") from exc
     return results
 
 
-def _shaped(gen: Sampler, rows: list) -> list[SeriesSample]:
-    """The samples of the drawn rows, in order, shaped _STACK_VALUES values at a time.
+def _shaped(gen: Sampler, n: int, block: np.ndarray, first: int) -> np.ndarray:
+    """The samples of a (k, width) block of drawn rows, replicates first..first+k-1,
+    as one (k, n) array for d = 1 and (k, n, d) otherwise, checked finite.
 
-    Each stack's rows leave the list as it is shaped, so the drawn uniforms
-    and the samples together stay near the size of one of them.  When a
-    stack fails, its rows are shaped one by one to name the lowest failing
-    replicate.
+    The block is shaped as one stack.  When that fails, its rows are shaped
+    one by one, which names the lowest replicate whose transform fails and
+    takes samples of different array shapes ((n,) or (n, 1) for d = 1).  A
+    non-finite value names the lowest replicate that holds one.
     """
-    per_stack = max(1, _STACK_VALUES // gen.width)
-    samples: list[SeriesSample] = []
-    while rows:
-        block = np.stack(rows[:per_stack])
-        del rows[:per_stack]
-        try:
-            samples += gen.shape(block)
-        except Exception:
-            for i, row in enumerate(block, start=len(samples)):
-                try:
-                    gen.shape(row[None])
-                except Exception as exc:
-                    raise RuntimeError(f"replicate {i}: {exc}") from exc
-            raise
-    return samples
+    shape = (block.shape[0], n) if gen.d == 1 else (block.shape[0], n, gen.d)
+    try:
+        x = np.asarray(gen.transform(block), dtype=np.float64).reshape(shape)
+    except Exception:
+        x = np.empty(shape)
+        for i, row in enumerate(block):
+            try:
+                (path,) = gen.transform(row[None])
+                x[i] = np.reshape(path, shape[1:])
+            except Exception as exc:
+                raise _NamedFailure(f"replicate {first + i}: {exc}") from exc
+    if not np.isfinite(x).all():
+        bad = ~np.isfinite(x.reshape(shape[0], -1)).all(axis=1)
+        raise _NamedFailure(f"replicate {first + int(np.argmax(bad))}: sample contains non-finite values")
+    return x
+
+
+def _counted(gen: Sampler, n: int, n_sim: int, base_seed: int, count) -> list:
+    """count(x) of every stack x of shaped replicates, concatenated in index order.
+
+    Replicate i's row is drawn from stream i.  The task that draws the last
+    row of a stack (paircount._STACK_VALUES drawn values, at least one row,
+    or the last replicate) shapes the stack (_shaped), counts it and drops
+    it, so only one stack of samples is held at a time and count keeps only
+    what it returns.
+    """
+    per_stack = max(1, paircount._STACK_VALUES // gen.width)
+    rows: list[np.ndarray] = []
+    counts: list = []
+
+    def task(i: int, stream: RngStream) -> None:
+        rows.append(gen.draw(stream))
+        if len(rows) == per_stack or i == n_sim - 1:
+            x = _shaped(gen, n, np.stack(rows), i + 1 - len(rows))
+            rows.clear()
+            counts.extend(count(x))
+
+    _replicate_map(n_sim, base_seed, task)
+    return counts
 
 
 def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
     """Simulate n_sim residuals under the plan and KS-test them against N(0,1).
 
-    The replicates' uniforms are drawn one stream at a time, in index order,
-    and each replicate is checked as its report would check it, so a failure
-    names the lowest failing replicate.  Then they are shaped into samples
-    and counted a stack at a time (estimate_reports stacks the 1-D ones).
+    The config is checked once, as replicate 0's report would check it.
+    The replicates are then drawn one stream at a time, in index order,
+    and each stack of them is shaped and counted as soon as it is drawn
+    (_counted), so a study holds one stack of samples and the counts.  The
+    estimates and residuals come from the counts as arrays.
+
+    A failure names its replicate.  Stacks run in index order, so a failure
+    in an earlier stack comes before any failure in a later one.  Within a
+    stack every row is drawn before any is shaped, so a draw failure there
+    comes before a shaping failure (a non-finite sample) of a lower
+    replicate of the same stack.  Then the first replicate whose estimates
+    are not finite, then the first whose residual scale is not positive.
     """
     truth = plan.truth()
     gen = sampler(plan.spec, plan.n)
+    n, d, config, kind = plan.n, gen.d, plan.config, plan.kind
+    try:
+        volumes = _checked_volumes(n, d, config)
+    except ValueError as exc:
+        raise RuntimeError(f"replicate 0: {exc}") from exc
+    eps, eps0 = float(config.eps), config.resolved_eps0
+    lags = range(config.r + 1)
 
-    def draw(i: int, stream: RngStream) -> np.ndarray:
-        u = gen.draw(stream)
-        _checked_volumes(plan.n, gen.d, plan.config)
-        return u
+    def count(x: np.ndarray) -> list:
+        if d == 1:
+            return [(c, t) for c, _, t in _counts_1d(x, eps, eps0, lags)]
+        out = []
+        for pts in x:
+            adjacency = _adjacency_masks(n, *_close_pairs(pts, eps0))
+            out.append((count_subset_pairs(pts, [range(d)], eps)[0],
+                        [_uh_count_from_masks(adjacency, n, h) for h in lags]))
+        return out
 
-    samples = _shaped(gen, _replicate_map(plan.n_sim, plan.base_seed, draw))
-    residuals = []
-    for i, report in enumerate(estimate_reports(samples, plan.config)):
+    counts = _counted(gen, n, plan.n_sim, plan.base_seed, count)
+    est = _estimates(n, d, config, volumes, [c for c, _ in counts], [t for _, t in counts])
+    est.check(config, d)
+    scale = _scaler(kind, est.w, est.u)
+    bad = np.flatnonzero(~(scale > 0.0))
+    if bad.size:
         try:
-            residuals.append(residual_from_report(report, truth, plan.kind))
-        except Exception as exc:
-            raise RuntimeError(f"replicate {i}: {exc}") from exc
+            _checked_scale(float(scale[bad[0]]))
+        except ValueError as exc:
+            raise RuntimeError(f"replicate {bad[0]}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _residual(kind, truth, n, eps, d, est.q2, est.h2, scale).tolist()
     stat, p = ks_test(residuals, "std_normal")
     return SimulationOutcome(
         n=plan.n,
@@ -297,9 +388,9 @@ def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: i
     and with zeta their variance, the mean plus b_1(d)^2 zeta n^3 eps^{2d}.
 
     q2 defaults to the process truth, which must then be available.  Both
-    asymptotes are checked before any replicate is drawn.  1-D replicates
-    are counted as one stack (a bounded number of values at a time); d >= 2
-    replicates one by one.
+    asymptotes are checked before any replicate is drawn.  The replicates
+    are shaped and counted a stack at a time as they are drawn (_counted):
+    a 1-D stack in one pass, d >= 2 replicates one window pass each.
     """
     q2_truth = spec.truth.q2 if q2 is None else float(q2)
     if q2_truth is None:
@@ -323,13 +414,12 @@ def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: i
         if not math.isfinite(var):
             raise ValueError(f"count variance asymptote overflows at radius {eps} in dimension {d}")
 
-    samples = _shaped(gen, _replicate_map(n_sim, base_seed, lambda i, stream: gen.draw(stream)))
-    if d == 1:
-        rows = _stacked_counts_1d([s.points[:, 0] for s in samples], eps, eps, ())
-        counts = tuple(n_close for n_close, _, _ in rows)
-    else:
-        counts = tuple(count_subset_pairs(s.points, [range(d)], eps)[0] for s in samples)
-    return counts, mean, var
+    def count(x: np.ndarray) -> list[int]:
+        if d == 1:
+            return [c for c, _, _ in _counts_1d(x, eps, eps, ())]
+        return [count_subset_pairs(pts, [range(d)], eps)[0] for pts in x]
+
+    return tuple(_counted(gen, n, n_sim, base_seed, count)), mean, var
 
 
 def probe_poisson_regime(

@@ -446,18 +446,22 @@ def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     return PairCountResult(n_pairs_close=count, min_distance=math.sqrt(min_sq), n=n, eps=eps)
 
 
-@np.errstate(over="ignore")
 def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j), i < j, with d(X_i, X_j) <= eps, as index arrays."""
     eps = _checked_eps(eps)
-    pts = sample.points
     if sample.n < 2:
         raise ValueError("pair counting needs at least two observations")
+    return _close_pairs(sample.points, eps)
+
+
+@np.errstate(over="ignore")
+def _close_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """close_pairs of an (n, d) array, n >= 2, with eps already checked."""
     eps_sq = eps * eps
     i_parts = [np.empty(0, dtype=np.int64)]
     j_parts = [np.empty(0, dtype=np.int64)]
     order, width = _pivot_windows(pts, 0, eps_sq)
-    columns = range(sample.d)
+    columns = range(pts.shape[1])
     for start, square, (out, scratch), hits in _window_pairs(pts, order, width, columns, 2):
         r, s = np.nonzero(np.less_equal(_sq_sum(square, columns, out, scratch), eps_sq, out=hits))
         i_arr, j_arr = order[start + r], order[start + r + s + 1]

@@ -89,20 +89,29 @@ class ProcessSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "ProcessSpec":
+        if not isinstance(doc, dict):
+            raise ValueError(f"spec must be an object, got {type(doc).__name__}")
         family = doc.get("family")
-        params = dict(doc.get("params", {}))
-        if family == "gaussian_ma":
-            return gaussian_ma_process(params["theta"])
-        if family == "lognormal_ma":
-            return lognormal_ma_process(params["theta"])
-        if family == "cauchy_ratio":
-            return cauchy_ratio_process()
-        if family == "copula_onedep":
-            return copula_onedep_process(params["theta"], params.get("marginal", "uniform"))
-        if family == "pearson2":
-            return pearson2_process(params["mu"], params["sigma"], params.get("m"))
-        if family == "iid_uniform":
-            return iid_uniform_process(int(params.get("d", 1)))
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"spec field 'params' must be an object, got {type(params).__name__}")
+        params = dict(params)
+        try:
+            if family == "gaussian_ma":
+                return gaussian_ma_process(params["theta"])
+            if family == "lognormal_ma":
+                return lognormal_ma_process(params["theta"])
+            if family == "cauchy_ratio":
+                return cauchy_ratio_process()
+            if family == "copula_onedep":
+                return copula_onedep_process(params["theta"], params.get("marginal", "uniform"))
+            if family == "pearson2":
+                return pearson2_process(params["mu"], params["sigma"], params.get("m"))
+            if family == "iid_uniform":
+                return iid_uniform_process(int(params.get("d", 1)))
+        except TypeError as exc:
+            # a parameter of the wrong JSON type, such as null or a list for a number
+            raise ValueError(f"spec params of family {family!r}: {exc}") from None
         raise ValueError(f"unknown process family {family!r}")
 
 
@@ -232,13 +241,16 @@ class Sampler:
     consumes, with the grid point 0.0 nudged to 2^-54 where a normal
     quantile or a log follows.  Normals come from the quantile of uniforms,
     with no rejection step, so a stream maps to the same values on every
-    platform.  shape(block) is the stack step: a (k, width)
-    block of drawn rows becomes k samples, with the elementwise work
+    platform.  transform(block) is the stack step: a (k, width) block of
+    drawn rows becomes the arrays of k samples, with the elementwise work
     (normal_quantile, exp, the Clayton inverse, a named copula marginal) run
     once over the block.  Elementwise ufuncs give each value the same bits
     in a stack as alone, so row j of a block shapes exactly as that row
     would alone; the moving-average filter, the pearson2 window algebra and
-    a caller's copula marginal still run per row.  generate is k = 1.
+    a caller's copula marginal still run per row.  shape(block) wraps the
+    arrays as validated SeriesSamples, and generate is shape with k = 1;
+    the Monte Carlo studies take a block's arrays as one stack and check
+    the whole stack at once (montecarlo._shaped).
     """
 
     spec: ProcessSpec

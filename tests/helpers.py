@@ -143,6 +143,45 @@ def brute_discrete_uh_count(symbols, h: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# report formulas, one sample at a time
+# ---------------------------------------------------------------------------
+
+def scalar_estimates(n: int, n_close: int, triples, b_eps: float, b2: float, b1: float) -> dict:
+    """The report's estimates of one sample from its exact counts, one Python
+    float operation at a time, in the order the formulas are written.
+
+    b_eps = ball_volume(d, eps), b2 = ball_volume(d, eps0) ** 2 and
+    b1 = unit_ball_volume(d) come from the caller.
+    """
+    floor = 1.0 / n
+    qn = n_close / (n * (n - 1) / 2)
+    q2 = qn / b_eps
+    h2 = -math.log(max(q2, floor))
+    norms = [(n - 1) * (n - 1) * (n - 2)] + [(n - h - 1) * (n - 2) * (n - 3)
+                                             for h in range(1, len(triples))]
+    u3 = tuple(t / (norm * b2) for t, norm in zip(triples, norms))
+    h3 = -0.5 * math.log(max(u3[0], floor))
+    q_sq = q2 * q2
+    z = u3[0] - q_sq
+    for uh in u3[1:]:
+        z += 2.0 * (uh - q_sq)
+    w = math.sqrt(2.0 * q2 / (n * b_eps) + 4.0 * max(z, floor))
+    u = math.sqrt(2.0 * max(q2, floor) / b1)
+    return {"qn_raw": qn, "q2_hat": q2, "h2_hat": h2, "u3_hat": u3, "h3_hat": h3,
+            "zeta_hat": z, "w_hat": w, "u_hat": u}
+
+
+def scalar_residual(kind: str, truth: float, n: int, eps: float, d: int, est: dict) -> float:
+    """The pivotal residual of scalar_estimates for a residual kind's name."""
+    sqrt_n = kind in ("q_sqrtn", "h_sqrtn")
+    scale = est["w_hat"] if sqrt_n else est["u_hat"]
+    root = math.sqrt(n) if sqrt_n else n * eps ** (d / 2.0)
+    if kind.startswith("q"):
+        return root * (est["q2_hat"] - truth) / scale
+    return root * est["q2_hat"] * (est["h2_hat"] - truth) / scale
+
+
+# ---------------------------------------------------------------------------
 # reference normal quantile
 # ---------------------------------------------------------------------------
 

@@ -150,6 +150,57 @@ def test_simulate_rejects_malformed_plan(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_GOOD_PLAN = {"spec": {"family": "iid_uniform", "params": {"d": 1}}, "n": 40, "n_sim": 3,
+              "eps": 0.05, "kind": "q_sqrtn"}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ([_GOOD_PLAN], "plan must be an object"),
+    ("plan", "plan must be an object"),
+    (dict(_GOOD_PLAN, spec=3), "'spec'"),
+    (dict(_GOOD_PLAN, spec={"family": "iid_uniform", "params": 7}), "'params'"),
+    (dict(_GOOD_PLAN, spec={"family": "iid_uniform", "params": {"d": [2]}}), "'iid_uniform'"),
+    (dict(_GOOD_PLAN, spec={"family": "copula_onedep", "params": {"theta": None}}),
+     "'copula_onedep'"),
+    (dict(_GOOD_PLAN, n=[500]), "'n'"),
+    (dict(_GOOD_PLAN, eps=None), "'eps'"),
+    (dict(_GOOD_PLAN, n=500.9), "'n'"),
+    (dict(_GOOD_PLAN, n=500.0), "'n'"),
+    (dict(_GOOD_PLAN, n_sim=5.9), "'n_sim'"),
+    (dict(_GOOD_PLAN, r=2.5), "'r'"),
+    (dict(_GOOD_PLAN, n=True), "'n'"),
+    (dict(_GOOD_PLAN, eps=True), "'eps'"),
+    (dict(_GOOD_PLAN, eps0="0.1"), "'eps0'"),
+    (dict(_GOOD_PLAN, base_seed=7.5), "'base_seed'"),
+    ({k: v for k, v in _GOOD_PLAN.items() if k != "n_sim"}, "'n_sim'"),
+])
+def test_simulate_rejects_plans_that_are_not_plan_objects(tmp_path, capsys, doc, field):
+    path = str(tmp_path / "plan.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert cli.main(["simulate", "--plan", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+def test_seed_override_does_not_touch_a_plan_that_is_not_an_object(tmp_path, capsys):
+    path = str(tmp_path / "plan.json")
+    with open(path, "w") as fh:
+        json.dump([_GOOD_PLAN], fh)
+    assert cli.main(["simulate", "--plan", path, "--seed", "5"]) == 1
+    assert capsys.readouterr().err == "error: plan must be an object, got list\n"
+
+
+def test_simulate_reads_integral_counts_and_any_json_number_for_eps(tmp_path, capsys):
+    path = str(tmp_path / "plan.json")
+    with open(path, "w") as fh:
+        json.dump(dict(_GOOD_PLAN, eps=1, eps0=None, r=0), fh)
+    assert cli.main(["simulate", "--plan", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["plan"]["eps"] == 1.0 and doc["plan"]["n"] == 40
+
+
 # ---------------------------------------------------------------------------
 # gof
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_pair_count, brute_uh_count
+from helpers import brute_pair_count, brute_uh_count, scalar_estimates
 
 from epsentropy.core import RngStream, SeriesSample, ball_volume, unit_ball_volume
 from epsentropy.estimators import (
@@ -218,6 +218,32 @@ def test_reports_of_many_samples_match_one_by_one(eps0):
     assert [_bits(r) for r in estimate_reports(mixed, cfg)] == (
         [_bits(r) for r in reports[:2]] + [_bits(estimate_report(mixed[2], cfg))]
         + [_bits(r) for r in reports[2:]])
+
+
+def _hex(fields):
+    return {k: tuple(t.hex() for t in v) if isinstance(v, tuple) else v.hex()
+            for k, v in fields.items()}
+
+
+@pytest.mark.parametrize("eps,eps0,r", [(0.25, None, 0), (0.4, 0.3, 4), (0.3, None, 6),
+                                        (0.2, 0.15, 5), (0.5, 0.4, 6)])
+def test_report_fields_match_the_scalar_formulas(eps, eps0, r):
+    # the estimates of many samples are computed as arrays; each must have the
+    # bits of the one-sample formulas in Python floats.  Random walks make
+    # zeta_hat exceed 1/n, so w_hat reads it.
+    gen = RngStream(24, 0).generator()
+    samples = [SeriesSample(np.cumsum(gen.normal(size=n)) * 0.1) for n in (30, 30, 45)]
+    samples.append(_sample(25, 30, 2))
+    cfg = EstimateConfig(eps=eps, eps0=eps0, r=r)
+    e0 = cfg.resolved_eps0
+    reports = estimate_reports(samples, cfg)
+    for s, report in zip(samples, reports):
+        want = scalar_estimates(s.n, count_close_pairs(s, eps).n_pairs_close,
+                                [count_uh_triples(s, h, e0) for h in range(r + 1)],
+                                ball_volume(s.d, eps), ball_volume(s.d, e0) ** 2,
+                                unit_ball_volume(s.d))
+        assert _hex({k: getattr(report, k) for k in want}) == _hex(want)
+    assert any(rep.zeta_hat > 1.0 / rep.n for rep in reports)
 
 
 def test_reports_check_every_sample_before_counting():

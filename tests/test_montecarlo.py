@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as st
+from helpers import scalar_estimates, scalar_residual
 
 from epsentropy import montecarlo, paircount
-from epsentropy.core import RngStream, normal_quantile
+from epsentropy.core import RngStream, ball_volume, normal_quantile, unit_ball_volume
 from epsentropy.estimators import EstimateConfig, ResidualKind, estimate_report, residual_from_report
 from epsentropy.montecarlo import (
     DEFAULT_SEED,
@@ -211,6 +213,20 @@ def test_residual_study_over_the_stack_budget_matches_one_by_one():
     assert digest == "c025067cdaa12f60e14723f12d88fa5d9087be1235e9645e65dc57aac3f33e9e"
 
 
+@pytest.mark.parametrize("kind", [k.value for k in ResidualKind])
+def test_study_residuals_match_the_scalar_formulas(kind):
+    plan = _plan(kind=kind, n=50, n_sim=6, config=EstimateConfig(eps=0.3, eps0=0.4, r=3),
+                 base_seed=31)
+    want = []
+    for i in range(plan.n_sim):
+        s = generate(plan.spec, plan.n, RngStream(31, i)).sample
+        est = scalar_estimates(s.n, paircount.count_close_pairs(s, 0.3).n_pairs_close,
+                               [paircount.count_uh_triples(s, h, 0.4) for h in range(4)],
+                               ball_volume(1, 0.3), ball_volume(1, 0.4) ** 2, unit_ball_volume(1))
+        want.append(scalar_residual(kind, plan.truth(), plan.n, 0.3, 1, est).hex())
+    assert [r.hex() for r in run_residual_study(plan).residuals] == want
+
+
 def test_generation_failure_names_its_replicate(monkeypatch):
     draw = Sampler.draw
 
@@ -248,6 +264,118 @@ def test_shaping_failure_names_its_replicate(monkeypatch):
         run_residual_study(_plan(n_sim=100, base_seed=70))
     with pytest.raises(RuntimeError, match=message):
         probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.01, n_sim=100, base_seed=70)
+
+
+def _rows_per_stack(monkeypatch, spec, n, rows):
+    """Patch the value budget so that a stack holds `rows` drawn rows (None: as it is)."""
+    if rows is not None:
+        monkeypatch.setattr(paircount, "_STACK_VALUES", rows * montecarlo.sampler(spec, n).width)
+
+
+def _study_bits(plan):
+    out = run_residual_study(plan)
+    return [r.hex() for r in out.residuals], out.ks_statistic.hex(), out.ks_p_value.hex()
+
+
+_SEAM_PLANS = [
+    _plan(n=60, n_sim=20, config=EstimateConfig(eps=0.2, eps0=0.25, r=3), base_seed=12),
+    _plan(spec=iid_uniform_process(2), kind="q_neps", n=40, n_sim=15,
+          config=EstimateConfig(eps=0.15, r=2), base_seed=13),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("plan", _SEAM_PLANS, ids=["ma2", "uniform_2d"])
+def test_study_is_the_same_whatever_rows_a_stack_holds(monkeypatch, plan, rows):
+    default = _study_bits(plan)
+    _rows_per_stack(monkeypatch, plan.spec, plan.n, rows)
+    assert _study_bits(plan) == default
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("d,eps", [(1, 0.00125), (2, 0.03)])
+def test_probe_counts_are_the_same_whatever_rows_a_stack_holds(monkeypatch, d, eps, rows):
+    spec = iid_uniform_process(d)
+    poisson = probe_poisson_regime(spec, n=40, eps=eps, n_sim=30, base_seed=57)
+    moments = probe_moments(spec, n=40, eps=eps, n_sim=30, base_seed=57)
+    _rows_per_stack(monkeypatch, spec, 40, rows)
+    assert probe_poisson_regime(spec, n=40, eps=eps, n_sim=30, base_seed=57) == poisson
+    assert probe_moments(spec, n=40, eps=eps, n_sim=30, base_seed=57) == moments
+
+
+def _poison(monkeypatch, base_seed, replicates):
+    """Make the samples of the given replicates non-finite, found by their first uniform."""
+    marks = {RngStream(base_seed, i).generator().random() for i in replicates}
+    real = montecarlo.sampler
+
+    def poisoned(spec, n):
+        gen = real(spec, n)
+
+        def transform(block):
+            return [np.full(n, np.inf) if row[0] in marks else path
+                    for row, path in zip(block, gen.transform(block))]
+
+        return dataclasses.replace(gen, transform=transform)
+
+    monkeypatch.setattr(montecarlo, "sampler", poisoned)
+
+
+def _failing_draw(monkeypatch, replicate):
+    draw = Sampler.draw
+
+    def failing(self, stream):
+        if stream.stream_id == replicate:
+            raise ValueError("generator broke")
+        return draw(self, stream)
+
+    monkeypatch.setattr(Sampler, "draw", failing)
+
+
+def test_non_finite_first_row_of_a_later_stack_is_named(monkeypatch):
+    plan = _plan(n_sim=20)
+    _rows_per_stack(monkeypatch, plan.spec, plan.n, 7)
+    _poison(monkeypatch, plan.base_seed, [7, 15])
+    with pytest.raises(RuntimeError, match="^replicate 7: sample contains non-finite values$"):
+        run_residual_study(plan)
+    with pytest.raises(RuntimeError, match="^replicate 7: sample contains non-finite values$"):
+        probe_poisson_regime(iid_uniform_process(1), n=40, eps=0.01, n_sim=20, base_seed=77)
+
+
+@pytest.mark.parametrize("poisoned,broken,message", [
+    (2, 9, "replicate 2: sample contains non-finite values"),  # earlier stack first
+    (2, 5, "replicate 5: generator broke"),  # one stack: every row is drawn before shaping
+])
+def test_failures_come_in_stack_order_and_draws_first_within_a_stack(
+        monkeypatch, poisoned, broken, message):
+    plan = _plan(n_sim=20)
+    _rows_per_stack(monkeypatch, plan.spec, plan.n, 7)
+    _poison(monkeypatch, plan.base_seed, [poisoned])
+    _failing_draw(monkeypatch, broken)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        run_residual_study(plan)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_study_memory_does_not_grow_with_the_replicates():
+    # a study holds one stack of samples and the counts, not 8 n_sim n bytes
+    # (13.6 MiB more at n_sim = 400 than at 50 when it held every sample)
+    spec = ma2_normal_process()
+    for study in (
+        lambda n_sim: run_residual_study(
+            _plan(n=5000, n_sim=n_sim, config=EstimateConfig(eps=0.1, r=1))),
+        lambda n_sim: probe_poisson_regime(spec, n=5000, eps=1e-4, n_sim=n_sim),
+    ):
+        study(50)  # the one-time allocations of a first call are not the study's
+        growth = _traced_peak(lambda: study(400)) - _traced_peak(lambda: study(50))
+        assert growth < 2**20
 
 
 # ---------------------------------------------------------------------------

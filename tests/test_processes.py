@@ -366,9 +366,9 @@ def test_stacks_across_the_value_budget_match_one_stream_at_a_time(name):
     n = 12_000 if name == "iid_uniform_3" else 5_000
     gen = sampler(spec, n)
     assert 7 * gen.width > paircount._STACK_VALUES
-    streams = [RngStream(17, i) for i in range(7)]
-    shaped = montecarlo._shaped(gen, [gen.draw(stream) for stream in streams])
-    assert [_bits(s) for s in shaped] == [_bits(generate(spec, n, s).sample) for s in streams]
+    shaped = montecarlo._counted(gen, n, 7, 17, list)
+    assert [x.tobytes() for x in shaped] == [
+        _bits(generate(spec, n, RngStream(17, i)).sample) for i in range(7)]
 
 
 def test_custom_copula_marginal_sees_one_series():
