@@ -27,10 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import paircount
 from .core import SeriesSample, ball_volume, checked_q2, unit_ball_volume
-from .paircount import (
+from .paircount import _counts, _min_sq_distance
+from .paircount import (  # noqa: F401  (unused; perfbench/spans.py wraps them)
     _adjacency_masks,
-    _stacked_counts_1d,
     _uh_count_from_masks,
     close_pairs,
     count_close_pairs,
@@ -222,16 +223,16 @@ def _estimates(n: int, d: int, config: EstimateConfig, volumes: tuple[float, flo
 
 
 def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
-    """estimate_report of every sample, in order, counting 1-D samples together.
+    """estimate_report of every sample, in order, counting samples of one shape together.
 
-    Every sample is checked before anything is counted.  1-D samples of
-    equal n are stacked and counted a bounded number of values at a time
-    (paircount._stacked_counts_1d): one sort along the rows, one window pass
-    and a few 1-D passes over the flat stack per lag for all of them.  A
-    d >= 2 sample keeps its own pass: pairs at eps, then the pair structure
-    at eps0 reused per lag.  The estimates of the samples of one shape come
-    from their counts as arrays (_estimates).  The counts are exact, so a
-    report does not depend on the samples it was counted with.
+    Every sample is checked before anything is counted.  The samples of
+    one (n, d) are counted by paircount._counts, _STACK_VALUES values at a
+    time (a larger sample alone, as a view): a 1-D stack in one sort along
+    the rows, a d >= 2 sample in one window pass at the larger radius.  A
+    minimum above that radius is completed exactly (_min_sq_distance).
+    The estimates of the samples of one shape come from their counts as
+    arrays (_estimates).  The counts are exact, so a report does not
+    depend on the samples it was counted with.
     """
     samples = list(samples)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -240,19 +241,18 @@ def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
     # in order of first appearance, so the first failing sample names the error
     volumes = {shape: _checked_volumes(*shape, config) for shape in groups}
     eps, eps0 = float(config.eps), config.resolved_eps0
+    radius_sq = max(eps * eps, eps0 * eps0)
     lags = range(config.r + 1)
     counted = {}
     for (n, d), idx in groups.items():
-        if d == 1:
-            rows = _stacked_counts_1d([samples[i].points[:, 0] for i in idx], eps, eps0, lags)
-            counted[n, d] = [(c, math.sqrt(min_sq), t) for c, min_sq, t in rows]
-            continue
-        counted[n, d] = []
-        for i in idx:
-            pair_res = count_close_pairs(samples[i], eps)
-            adjacency = _adjacency_masks(n, *close_pairs(samples[i], eps0))
-            counted[n, d].append((pair_res.n_pairs_close, pair_res.min_distance,
-                                  [_uh_count_from_masks(adjacency, n, h) for h in lags]))
+        per_stack = max(1, paircount._STACK_VALUES // (n * d))
+        rows = []
+        for s in range(0, len(idx), per_stack):
+            chunk = [samples[i].points for i in idx[s : s + per_stack]]
+            rows += _counts(np.stack(chunk) if len(chunk) > 1 else chunk[0][None], eps, eps0, lags)
+        counted[n, d] = [
+            (c, math.sqrt(min_sq if min_sq <= radius_sq else _min_sq_distance(samples[i].points)), t)
+            for i, (c, min_sq, t) in zip(idx, rows)]
     estimates = {shape: _estimates(*shape, config, volumes[shape], [c for c, _, _ in rows],
                                    [t for _, _, t in rows])
                  for shape, rows in counted.items()}
@@ -278,8 +278,8 @@ def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
 def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateReport:
     """All estimates of one sample: estimate_reports((sample,), config)[0].
 
-    A 1-D sample is sorted once, and the pairs, the minimum distance and
-    every lag come from the windows of that sort.
+    A 1-D sample is sorted once and a d >= 2 sample walks its windows once;
+    the pairs, the minimum distance and every lag come from that pass.
     """
     return estimate_reports((sample,), config)[0]
 

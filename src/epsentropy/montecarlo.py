@@ -8,8 +8,9 @@ drawn one stream after another, in index order, on the calling thread
 (processes.Sampler.draw); each time the drawn rows hold
 paircount._STACK_VALUES values, or the last replicate is drawn, they are
 shaped as one stack (Sampler.transform, so normal_quantile and the other
-elementwise work run once per stack), checked finite, counted (1-D stacks
-in one pass) and dropped.  A study keeps only the counts, so its memory is
+elementwise work run once per stack), checked finite, counted by
+paircount._counts (a 1-D stack in one pass, a d >= 2 replicate in one
+window pass) and dropped.  A study keeps only the counts, so its memory is
 one stack however many replicates it runs; the estimates and residuals
 then come from the counts as arrays.
 
@@ -22,9 +23,9 @@ moment ratios against their closed-form asymptotes.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,15 +43,8 @@ from .estimators import (
     _scaler,
 )
 from .estimators import estimate_report  # noqa: F401  (unused; perfbench/spans.py wraps it)
-from .paircount import (
-    _adjacency_masks,
-    _checked_eps,
-    _close_pairs,
-    _counts_1d,
-    _uh_count_from_masks,
-    count_subset_pairs,
-)
-from .processes import ProcessSpec, Sampler, sampler
+from .paircount import _checked_eps, _counts
+from .processes import ProcessSpec, Sampler, _json_field, sampler
 from .processes import generate  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 __all__ = [
@@ -115,35 +109,20 @@ class SimulationPlan:
         that is missing or of the wrong JSON type."""
         if not isinstance(doc, dict):
             raise ValueError(f"plan must be an object, got {type(doc).__name__}")
-        eps0 = _plan_field(doc, "eps0", (int, float, type(None)), "a number or null", None)
+        get = partial(_json_field, "plan field", doc)
+        eps0 = get("eps0", (int, float, type(None)), "a number or null", None)
         return SimulationPlan(
-            spec=ProcessSpec.from_json(_plan_field(doc, "spec", dict, "an object")),
-            n=_plan_field(doc, "n", int, "an integer"),
-            n_sim=_plan_field(doc, "n_sim", int, "an integer"),
+            spec=ProcessSpec.from_json(get("spec", dict, "an object")),
+            n=get("n", int, "an integer"),
+            n_sim=get("n_sim", int, "an integer"),
             config=EstimateConfig(
-                eps=float(_plan_field(doc, "eps", (int, float), "a number")),
+                eps=float(get("eps", (int, float), "a number")),
                 eps0=None if eps0 is None else float(eps0),
-                r=_plan_field(doc, "r", int, "an integer", 0),
+                r=get("r", int, "an integer", 0),
             ),
-            kind=ResidualKind(_plan_field(doc, "kind", str, "a string")),
-            base_seed=_plan_field(doc, "base_seed", int, "an integer", DEFAULT_SEED),
+            kind=ResidualKind(get("kind", str, "a string")),
+            base_seed=get("base_seed", int, "an integer", DEFAULT_SEED),
         )
-
-
-_REQUIRED = object()
-
-
-def _plan_field(doc: dict, name: str, types, what: str, default=_REQUIRED):
-    """doc[name], or default when absent, checked to be one of the JSON types
-    (a bool is not a number)."""
-    if name not in doc:
-        if default is _REQUIRED:
-            raise ValueError(f"plan field {name!r} is missing")
-        return default
-    value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"plan field {name!r} must be {what}, got {json.dumps(value)}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -274,14 +253,14 @@ def _replicate_map(n_sim: int, base_seed: int, task) -> list:
 
 def _shaped(gen: Sampler, n: int, block: np.ndarray, first: int) -> np.ndarray:
     """The samples of a (k, width) block of drawn rows, replicates first..first+k-1,
-    as one (k, n) array for d = 1 and (k, n, d) otherwise, checked finite.
+    as one (k, n, d) array, the stack paircount._counts takes, checked finite.
 
     The block is shaped as one stack.  When that fails, its rows are shaped
     one by one, which names the lowest replicate whose transform fails and
     takes samples of different array shapes ((n,) or (n, 1) for d = 1).  A
     non-finite value names the lowest replicate that holds one.
     """
-    shape = (block.shape[0], n) if gen.d == 1 else (block.shape[0], n, gen.d)
+    shape = (block.shape[0], n, gen.d)
     try:
         x = np.asarray(gen.transform(block), dtype=np.float64).reshape(shape)
     except Exception:
@@ -349,14 +328,7 @@ def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
     lags = range(config.r + 1)
 
     def count(x: np.ndarray) -> list:
-        if d == 1:
-            return [(c, t) for c, _, t in _counts_1d(x, eps, eps0, lags)]
-        out = []
-        for pts in x:
-            adjacency = _adjacency_masks(n, *_close_pairs(pts, eps0))
-            out.append((count_subset_pairs(pts, [range(d)], eps)[0],
-                        [_uh_count_from_masks(adjacency, n, h) for h in lags]))
-        return out
+        return [(c, t) for c, _, t in _counts(x, eps, eps0, lags)]
 
     counts = _counted(gen, n, plan.n_sim, plan.base_seed, count)
     est = _estimates(n, d, config, volumes, [c for c, _ in counts], [t for _, t in counts])
@@ -389,8 +361,9 @@ def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: i
 
     q2 defaults to the process truth, which must then be available.  Both
     asymptotes are checked before any replicate is drawn.  The replicates
-    are shaped and counted a stack at a time as they are drawn (_counted):
-    a 1-D stack in one pass, d >= 2 replicates one window pass each.
+    are shaped and counted a stack at a time as they are drawn (_counted),
+    each stack by paircount._counts with no lags: a 1-D stack in one pass,
+    a d >= 2 replicate in one window pass at eps, with no minimum completed.
     """
     q2_truth = spec.truth.q2 if q2 is None else float(q2)
     if q2_truth is None:
@@ -415,9 +388,7 @@ def _count_study(spec: ProcessSpec, n: int, eps: float, n_sim: int, base_seed: i
             raise ValueError(f"count variance asymptote overflows at radius {eps} in dimension {d}")
 
     def count(x: np.ndarray) -> list[int]:
-        if d == 1:
-            return [c for c, _, _ in _counts_1d(x, eps, eps, ())]
-        return [count_subset_pairs(pts, [range(d)], eps)[0] for pts in x]
+        return [c for c, _, _ in _counts(x, eps, eps, ())]
 
     return tuple(_counted(gen, n, n_sim, base_seed, count)), mean, var
 

@@ -30,9 +30,12 @@ confirms it, and bisection on the test finds the rest.
   differences computed once, and a column prefix that several subsets
   share is summed once.
 
-Every triple counter, discrete ties included, ends in _lagged_triples.
-
-close_pairs takes the block path for every d.
+_counts is the one count entry of every report, study and counter: per
+sample of a (k, n, d) stack, the pairs within eps, the squared minimum
+distance and the lagged triples at eps0, from one window pass per d >= 2
+sample at the larger radius (_window_scan, which close_pairs takes for
+every d).  Every triple counter, discrete ties included, ends in
+_lagged_triples.
 """
 
 from __future__ import annotations
@@ -60,10 +63,10 @@ __all__ = [
 # and a scratch column: eight for a pivot of keys_3d_grid), which at 2^14
 # entries, 128 KiB each, stay within a 2 MiB L2 cache
 _BLOCK = 1 << 14
-# values per stack of 1-D samples counted together (_stacked_counts_1d): a
-# lag reads and writes about eight arrays of 8 bytes a value, which at 2^15
-# values stay within a 2 MiB L2 cache; 2^16 values counted 100 samples of
-# n = 500 about 20% slower on a 2-vCPU Xeon
+# values per stack of samples given to one _counts call (by estimate_reports
+# and the studies): a 1-D lag reads and writes about eight arrays of 8 bytes
+# a value, which at 2^15 values stay within a 2 MiB L2 cache; 2^16 values
+# counted 100 samples of n = 500 about 20% slower on a 2-vCPU Xeon
 _STACK_VALUES = 1 << 15
 
 
@@ -167,19 +170,31 @@ def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns
         start = stop
 
 
-def _count_and_min_sq(pts: np.ndarray, eps_sq: float) -> tuple[int, float]:
-    """Pairs within eps, and the smallest squared distance over a set of
-    actual pairs that holds every column-0 window pair (so the global
-    minimum whenever that is <= eps_sq)."""
+def _window_scan(pts: np.ndarray, eps_sq: float, pairs_sq: float | None = None):
+    """One column-0 window pass over an (n, d) array at radius max(eps_sq, pairs_sq).
+
+    Returns the pairs within eps, the smallest squared distance over the
+    window entries (actual pairs, holding every pair within the radius, so
+    the global minimum whenever it is at most the radius) and, given
+    pairs_sq, the pairs (i, j), i < j, within it as index arrays (else None).
+    """
     count = 0
     min_sq = math.inf
-    order, width = _pivot_windows(pts, 0, eps_sq)
+    i_parts = [np.empty(0, dtype=np.int64)]
+    j_parts = [np.empty(0, dtype=np.int64)]
+    order, width = _pivot_windows(pts, 0, max(eps_sq, pairs_sq or 0.0))
     columns = range(pts.shape[1])
-    for _, square, (out, scratch), hits in _window_pairs(pts, order, width, columns, 2):
+    for start, square, (out, scratch), hits in _window_pairs(pts, order, width, columns, 2):
         sq = _sq_sum(square, columns, out, scratch)
         count += int(np.count_nonzero(np.less_equal(sq, eps_sq, out=hits)))
         min_sq = min(min_sq, float(np.fmin.reduce(sq, axis=None)))
-    return count, min_sq
+        if pairs_sq is not None:
+            r, s = np.nonzero(np.less_equal(sq, pairs_sq, out=hits))
+            i_arr, j_arr = order[start + r], order[start + r + s + 1]
+            i_parts.append(np.minimum(i_arr, j_arr))
+            j_parts.append(np.maximum(i_arr, j_arr))
+    pairs = None if pairs_sq is None else (np.concatenate(i_parts), np.concatenate(j_parts))
+    return count, min_sq, pairs
 
 
 def _prefix_plan(subsets: list[tuple[int, ...]]):
@@ -312,7 +327,7 @@ def _min_sq_distance(pts: np.ndarray) -> float:
     gaps = by_col0[1:] - by_col0[:-1]
     gaps *= gaps
     u_sq = float(_sq_sum(lambda c, _: gaps[:, c], range(d), gaps[:, 0], None).min())
-    return _count_and_min_sq(pts, u_sq)[1]
+    return _window_scan(pts, u_sq)[1]
 
 
 @np.errstate(over="ignore")
@@ -432,42 +447,22 @@ def min_interpoint_distance(sample: SeriesSample) -> float:
 def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     """Count pairs i < j with d(X_i, X_j) <= eps; also report exact Y_n."""
     eps = _checked_eps(eps)
-    pts = sample.points
     n = sample.n
     if n < 2:
         raise ValueError("pair counting needs at least two observations")
-    if sample.d == 1:
-        count, min_sq, _ = _counts_1d(pts.T, eps, eps, ())[0]
-    else:
-        eps_sq = eps * eps
-        count, min_sq = _count_and_min_sq(pts, eps_sq)
-        if min_sq > eps_sq:
-            min_sq = _min_sq_distance(pts)
+    count, min_sq, _ = _counts(sample.points[None], eps, eps, ())[0]
+    if min_sq > eps * eps:
+        min_sq = _min_sq_distance(sample.points)
     return PairCountResult(n_pairs_close=count, min_distance=math.sqrt(min_sq), n=n, eps=eps)
 
 
+@np.errstate(over="ignore")
 def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j), i < j, with d(X_i, X_j) <= eps, as index arrays."""
     eps = _checked_eps(eps)
     if sample.n < 2:
         raise ValueError("pair counting needs at least two observations")
-    return _close_pairs(sample.points, eps)
-
-
-@np.errstate(over="ignore")
-def _close_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """close_pairs of an (n, d) array, n >= 2, with eps already checked."""
-    eps_sq = eps * eps
-    i_parts = [np.empty(0, dtype=np.int64)]
-    j_parts = [np.empty(0, dtype=np.int64)]
-    order, width = _pivot_windows(pts, 0, eps_sq)
-    columns = range(pts.shape[1])
-    for start, square, (out, scratch), hits in _window_pairs(pts, order, width, columns, 2):
-        r, s = np.nonzero(np.less_equal(_sq_sum(square, columns, out, scratch), eps_sq, out=hits))
-        i_arr, j_arr = order[start + r], order[start + r + s + 1]
-        i_parts.append(np.minimum(i_arr, j_arr))
-        j_parts.append(np.maximum(i_arr, j_arr))
-    return np.concatenate(i_parts), np.concatenate(j_parts)
+    return _window_scan(sample.points, eps * eps, eps * eps)[2]
 
 
 def _adjacency_masks(n: int, i_arr: np.ndarray, j_arr: np.ndarray):
@@ -512,10 +507,33 @@ def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
     if sample.n < h + 4:
         raise ValueError(f"need n >= h + 4 (n={sample.n}, h={h})")
     eps0 = _checked_eps(eps0)
-    if sample.d == 1:
-        return _counts_1d(sample.points.T, eps0, eps0, (h,))[0][2][0]
-    adjacency = _adjacency_masks(sample.n, *close_pairs(sample, eps0))
-    return _uh_count_from_masks(adjacency, sample.n, h)
+    return _counts(sample.points[None], eps0, eps0, (h,))[0][2][0]
+
+
+@np.errstate(over="ignore")
+def _counts(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, float, list[int]]]:
+    """Per sample of a (k, n, d) stack: the pairs within eps, a squared
+    minimum distance and the lagged-triple counts at eps0, one per lag.
+
+    The caller checks eps, eps0, n >= 2 and 0 <= h <= n - 4.  A 1-D stack
+    is counted by _counts_1d, whose minimum is exact.  A d >= 2 sample
+    takes one window pass (_window_scan) at the larger radius, or at eps
+    with no lags, and with lags the pairs within eps0 it keeps give the
+    edge keys of every lag.  Its minimum is exact when it is within the
+    pass radius; a caller that reports it completes it otherwise
+    (_min_sq_distance), which a study, not reading it, never pays.
+    """
+    n, d = x.shape[1:]
+    if d == 1:
+        return _counts_1d(x[:, :, 0], eps, eps0, lags)
+    out = []
+    for pts in x:
+        count, min_sq, pairs = _window_scan(pts, eps * eps, eps0 * eps0 if lags else None)
+        if pairs is not None:
+            adjacency = _adjacency_masks(n, *pairs)
+            del pairs  # before the lags, which hold the keys
+        out.append((count, min_sq, [_uh_count_from_masks(adjacency, n, h) for h in lags]))
+    return out
 
 
 @np.errstate(over="ignore")
@@ -590,15 +608,3 @@ def _counts_1d(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, 
         for r, (c, sq_min) in enumerate(zip(n_close.tolist(), min_sq.tolist()))
     ]
 
-
-def _stacked_counts_1d(rows, eps: float, eps0: float, lags) -> list[tuple[int, float, list[int]]]:
-    """_counts_1d of each of a list of equal-length 1-D samples, in order.
-
-    The samples are stacked _STACK_VALUES values at a time (a longer sample
-    alone), so the counting memory stays bounded however many there are.
-    """
-    per_stack = max(1, _STACK_VALUES // rows[0].shape[0])
-    out = []
-    for s in range(0, len(rows), per_stack):
-        out += _counts_1d(np.stack(rows[s : s + per_stack]), eps, eps0, lags)
-    return out

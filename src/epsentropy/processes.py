@@ -25,9 +25,11 @@ Families:
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -96,6 +98,7 @@ class ProcessSpec:
         if not isinstance(params, dict):
             raise ValueError(f"spec field 'params' must be an object, got {type(params).__name__}")
         params = dict(params)
+        integer = partial(_json_field, f"family {family!r} spec param", params, types=int, what="an integer")
         try:
             if family == "gaussian_ma":
                 return gaussian_ma_process(params["theta"])
@@ -106,13 +109,30 @@ class ProcessSpec:
             if family == "copula_onedep":
                 return copula_onedep_process(params["theta"], params.get("marginal", "uniform"))
             if family == "pearson2":
-                return pearson2_process(params["mu"], params["sigma"], params.get("m"))
+                return pearson2_process(params["mu"], params["sigma"], integer("m", default=None))
             if family == "iid_uniform":
-                return iid_uniform_process(int(params.get("d", 1)))
+                return iid_uniform_process(integer("d", default=1))
         except TypeError as exc:
             # a parameter of the wrong JSON type, such as null or a list for a number
             raise ValueError(f"spec params of family {family!r}: {exc}") from None
         raise ValueError(f"unknown process family {family!r}")
+
+
+_REQUIRED = object()
+
+
+def _json_field(owner: str, doc: dict, name: str, types, what: str, default=_REQUIRED):
+    """doc[name], or default when absent, checked to be one of the JSON types
+    (a bool is not a number), so no float or string is truncated or parsed
+    where an integer is due.  owner names the field in errors."""
+    if name not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{owner} {name!r} is missing")
+        return default
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{owner} {name!r} must be {what}, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -326,6 +326,36 @@ def test_generate_stdout_manifest(tmp_path, capsys):
     assert doc["run"]["seed"] == 4
 
 
+_PEARSON2 = {"mu": [0.0], "sigma": [[1.0]]}
+
+
+@pytest.mark.parametrize("family,params,field", [
+    ("iid_uniform", {"d": 2.5}, "'d'"),
+    ("iid_uniform", {"d": 2.0}, "'d'"),
+    ("iid_uniform", {"d": True}, "'d'"),
+    ("iid_uniform", {"d": "3"}, "'d'"),
+    ("iid_uniform", {"d": None}, "'d'"),
+    ("pearson2", dict(_PEARSON2, m=2.5), "'m'"),
+    ("pearson2", dict(_PEARSON2, m=True), "'m'"),
+    ("pearson2", dict(_PEARSON2, m="2"), "'m'"),
+])
+@pytest.mark.parametrize("via", ["generate", "simulate"])
+def test_integer_spec_params_are_not_truncated(tmp_path, capsys, family, params, field, via):
+    if via == "generate":
+        argv = ["generate", "--family", family, "--params", json.dumps(params), "--n", "20",
+                "--output", str(tmp_path / "gen.csv")]
+    else:
+        path = str(tmp_path / "plan.json")
+        with open(path, "w") as fh:
+            json.dump(dict(_GOOD_PLAN, spec={"family": family, "params": params}), fh)
+        argv = ["simulate", "--plan", path]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "gen.csv").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{family!r}" in err and field in err and "must be an integer" in err
+
+
 def test_generate_requires_exactly_one_source(tmp_path, capsys):
     csv_out = str(tmp_path / "gen.csv")
     assert cli.main(["generate", "--n", "10", "--output", csv_out]) == 1

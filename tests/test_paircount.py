@@ -15,9 +15,15 @@ from helpers import (
     brute_uh_count,
 )
 
-from epsentropy import paircount
+from epsentropy import estimators, paircount
 from epsentropy.core import RngStream, SeriesSample
-from epsentropy.estimators import EstimateConfig, estimate_report, triple_normalizer
+from epsentropy.estimators import (
+    EstimateConfig,
+    estimate_report,
+    estimate_reports,
+    triple_normalizer,
+)
+from epsentropy.montecarlo import SimulationPlan, run_residual_study
 from epsentropy.paircount import (
     close_pairs,
     count_close_pairs,
@@ -25,6 +31,7 @@ from epsentropy.paircount import (
     count_uh_triples,
     min_interpoint_distance,
 )
+from epsentropy.processes import iid_uniform_process
 
 
 # points 1 and 2 are exactly eps = 0.3 apart in floating point, but an
@@ -192,9 +199,10 @@ def test_min_distance_alternating_clusters(monkeypatch):
     pts = RngStream(73, 0).generator().normal(scale=0.01, size=(400, 2))
     pts[1::2, 0] += 14.0
     radii = []
-    sweep = paircount._count_and_min_sq
+    scan = paircount._window_scan
     monkeypatch.setattr(
-        paircount, "_count_and_min_sq", lambda p, eps_sq: radii.append(eps_sq) or sweep(p, eps_sq)
+        paircount, "_window_scan",
+        lambda p, eps_sq, pairs_sq=None: radii.append(eps_sq) or scan(p, eps_sq, pairs_sq),
     )
     assert min_interpoint_distance(SeriesSample(pts)) == brute_min_distance(pts)
     assert radii and max(radii) < 0.1**2
@@ -395,11 +403,111 @@ def test_exact_sum_int64_at_its_bound():
 
 
 def test_stacked_counts_are_bounded_chunks(monkeypatch):
-    # three stacks of two rows and one of one row give the same counts as one stack
-    x = np.round(RngStream(68, 0).generator().normal(size=(7, 50)) * 8) / 8
-    whole = paircount._counts_1d(x, 0.25, 0.125, range(5))
+    # at 100 values a stack, the reports of samples of d = 1, 2, 3 and two n
+    # are counted in stacks of one to three samples; they equal the reports
+    # counted at the default stack size, where each shape is one stack
+    gen = RngStream(68, 0).generator()
+    samples = [SeriesSample(np.round(gen.normal(size=(n, d)) * 8) / 8)
+               for d in (1, 2, 3) for n in (30, 50) for _ in range(4)]
+    config = EstimateConfig(eps=0.25, eps0=0.125, r=4)
+    whole = estimate_reports(samples, config)
+    stacks = []
+    counts = estimators._counts
+    monkeypatch.setattr(estimators, "_counts", lambda x, *args: stacks.append(x.shape) or counts(x, *args))
     monkeypatch.setattr(paircount, "_STACK_VALUES", 100)
-    assert paircount._stacked_counts_1d(list(x), 0.25, 0.125, range(5)) == whole
+    assert estimate_reports(samples, config) == whole
+    assert sum(k for k, _, _ in stacks) == len(samples)
+    assert all(k * n * d <= 100 or k == 1 for k, n, d in stacks)
+    assert max(k for k, _, _ in stacks) == 3
+
+
+# ---------------------------------------------------------------------------
+# d >= 2 counts: one window pass per sample (paircount._counts)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _stack_nd(draw):
+    """(x, eps, eps0, r): a (k, n, d) stack, d = 2-4, on a 2^-2 grid with
+    duplicate rows; both radii on the grid, so pairs sit exactly eps and
+    exactly eps0 apart, and eps0 above, equal to or below eps."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(0, 3))
+    n = draw(st.integers(r + 4, 12))
+    ticks = draw(st.lists(st.integers(-5, 5), min_size=k * n * d, max_size=k * n * d))
+    x = np.array(ticks, dtype=np.float64).reshape(k, n, d) * 0.25
+    for row, a, b in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=4)):
+        x[row, a] = x[row, b]
+    eps = draw(st.integers(1, 8)) * 0.25
+    eps0 = draw(st.sampled_from([eps, eps * 0.5, eps * 2.0, draw(st.integers(1, 8)) * 0.25]))
+    return x, eps, eps0, r
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_stack_nd())
+@example((np.array([[[0.0, 0.0], [0.75, 1.0], [0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]]), 1.25, 0.5, 1))
+def test_counts_nd_match_brute_counts(case):
+    x, eps, eps0, r = case
+    lags = range(r + 1)
+    rows = paircount._counts(x, eps, eps0, lags)
+    assert len(rows) == x.shape[0]
+    for i, (pts, (n_close, min_sq, counts)) in enumerate(zip(x, rows)):
+        assert paircount._counts(x[i : i + 1], eps, eps0, lags) == [(n_close, min_sq, counts)]
+        assert n_close == brute_pair_count(pts, eps)
+        assert counts == [brute_uh_count(pts, h, eps0) for h in lags]
+        if min_sq <= max(eps, eps0) ** 2:
+            assert math.sqrt(min_sq) == brute_min_distance(pts)
+        else:
+            assert math.sqrt(min_sq) >= brute_min_distance(pts) > max(eps, eps0)
+        rep = estimate_report(SeriesSample(pts), EstimateConfig(eps=eps, eps0=eps0, r=r))
+        assert (rep.n_pairs_close, rep.min_distance) == (n_close, brute_min_distance(pts))
+    # with no lags the pass runs at eps alone and keeps no pairs
+    assert [c for c, _, _ in paircount._counts(x, eps, eps0, ())] == [c for c, _, _ in rows]
+
+
+@st.composite
+def _apart_nd(draw):
+    """(pts, eps, eps0): n = 5-12 distinct rows of a 2^-1 grid in R^d,
+    d = 2-4, with both radii at most half the grid step, so no pair is
+    within either radius and the window minimum is above both."""
+    d = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=5, max_size=12, unique=True))
+    pts = np.array(rows, dtype=np.float64) * 0.5
+    eps, eps0 = draw(st.lists(st.sampled_from([0.0625, 0.125, 0.2, 0.25]), min_size=2, max_size=2))
+    return pts, eps, eps0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_apart_nd())
+def test_counts_nd_without_close_pairs_complete_the_minimum(case):
+    pts, eps, eps0 = case
+    n_close, min_sq, counts = paircount._counts(pts[None], eps, eps0, range(2))[0]
+    assert (n_close, counts) == (0, [0, 0])
+    assert min_sq > max(eps, eps0) ** 2
+    s = SeriesSample(pts)
+    res = count_close_pairs(s, eps)
+    assert (res.n_pairs_close, res.min_distance) == (0, brute_min_distance(pts))
+    rep = estimate_report(s, EstimateConfig(eps=eps, eps0=eps0, r=1))
+    assert (rep.n_pairs_close, rep.min_distance) == (0, brute_min_distance(pts))
+
+
+def test_one_window_pass_per_nd_sample(monkeypatch):
+    # a d >= 2 report and each replicate of a 2-D study walk the column-0
+    # windows once: pairs within eps, minimum and pairs within eps0 together
+    calls = []
+    windows = paircount._pivot_windows
+    monkeypatch.setattr(paircount, "_pivot_windows",
+                        lambda *args: calls.append(args[2]) or windows(*args))
+    for d, eps, eps0 in [(2, 0.2, 0.2), (2, 0.2, 0.1), (3, 0.3, 0.4)]:
+        calls.clear()
+        estimate_report(_sample(90 + d, 300, d), EstimateConfig(eps=eps, eps0=eps0, r=3))
+        assert calls == [max(eps, eps0) ** 2]
+    calls.clear()
+    plan = SimulationPlan(spec=iid_uniform_process(2), n=200, n_sim=5,
+                          config=EstimateConfig(eps=0.1, eps0=0.05, r=2), kind="q_sqrtn")
+    run_residual_study(plan)
+    assert calls == [0.1**2] * 5
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,13 @@ def test_spec_from_json_unknown_family():
         ProcessSpec.from_json({"family": "white_noise", "params": {}})
 
 
+def test_spec_from_json_integer_params_default_when_absent():
+    pearson2 = {"mu": [0.0], "sigma": [[1.0]]}
+    assert ProcessSpec.from_json({"family": "iid_uniform", "params": {}}) == iid_uniform_process(1)
+    assert ProcessSpec.from_json({"family": "pearson2", "params": pearson2}).m == 4
+    assert ProcessSpec.from_json({"family": "pearson2", "params": dict(pearson2, m=2)}).m == 2
+
+
 def test_generate_dispatch_and_determinism():
     for spec in (
         ma2_normal_process(),
