@@ -76,15 +76,10 @@ class PoissonApprox:
         return math.exp(-self.mu)
 
     def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        # stable upward recursion, no factorials
-        p = math.exp(-self.mu)
-        for i in range(k):
-            p *= self.mu / (i + 1)
-        return p
+        return float(self.pmf_upto(k)[k]) if k >= 0 else 0.0
 
     def pmf_upto(self, k_max: int) -> np.ndarray:
+        """P(K = k) for k = 0..k_max, by the stable upward recursion (no factorials)."""
         out = np.empty(k_max + 1)
         p = math.exp(-self.mu)
         out[0] = p

@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import paircount
 from .core import SeriesSample, ball_volume, checked_q2, unit_ball_volume
-from .paircount import _counts, _min_sq_distance
+from .paircount import _counts, _exact_min_sq
 from .paircount import (  # noqa: F401  (unused; perfbench/spans.py wraps them)
     _adjacency_masks,
     _uh_count_from_masks,
@@ -42,7 +41,6 @@ __all__ = [
     "EstimateReport",
     "ResidualKind",
     "estimate_report",
-    "estimate_reports",
     "residual",
     "residual_from_report",
     "suggest_eps",
@@ -222,66 +220,26 @@ def _estimates(n: int, d: int, config: EstimateConfig, volumes: tuple[float, flo
     return _Estimates(qn, q2, h2, u3, h3, z, w, u, finite)
 
 
-def estimate_reports(samples, config: EstimateConfig) -> list[EstimateReport]:
-    """estimate_report of every sample, in order, counting samples of one shape together.
-
-    Every sample is checked before anything is counted.  The samples of
-    one (n, d) are counted by paircount._counts, _STACK_VALUES values at a
-    time (a larger sample alone, as a view): a 1-D stack in one sort along
-    the rows, a d >= 2 sample in one window pass at the larger radius.  A
-    minimum above that radius is completed exactly (_min_sq_distance).
-    The estimates of the samples of one shape come from their counts as
-    arrays (_estimates).  The counts are exact, so a report does not
-    depend on the samples it was counted with.
-    """
-    samples = list(samples)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(samples):
-        groups.setdefault((s.n, s.d), []).append(i)
-    # in order of first appearance, so the first failing sample names the error
-    volumes = {shape: _checked_volumes(*shape, config) for shape in groups}
-    eps, eps0 = float(config.eps), config.resolved_eps0
-    radius_sq = max(eps * eps, eps0 * eps0)
-    lags = range(config.r + 1)
-    counted = {}
-    for (n, d), idx in groups.items():
-        per_stack = max(1, paircount._STACK_VALUES // (n * d))
-        rows = []
-        for s in range(0, len(idx), per_stack):
-            chunk = [samples[i].points for i in idx[s : s + per_stack]]
-            rows += _counts(np.stack(chunk) if len(chunk) > 1 else chunk[0][None], eps, eps0, lags)
-        counted[n, d] = [
-            (c, math.sqrt(min_sq if min_sq <= radius_sq else _min_sq_distance(samples[i].points)), t)
-            for i, (c, min_sq, t) in zip(idx, rows)]
-    estimates = {shape: _estimates(*shape, config, volumes[shape], [c for c, _, _ in rows],
-                                   [t for _, _, t in rows])
-                 for shape, rows in counted.items()}
-    # the first failing sample in list order names the error
-    failing = [(idx[int(np.argmin(e.finite))], shape)
-               for (shape, idx), e in zip(groups.items(), estimates.values()) if not e.finite.all()]
-    if failing:
-        shape = min(failing)[1]
-        estimates[shape].check(config, shape[1])
-    reports: list = [None] * len(samples)
-    for (n, d), idx in groups.items():
-        e = estimates[n, d]
-        fields = zip(idx, counted[n, d], e.qn.tolist(), e.q2.tolist(), e.h2.tolist(),
-                     e.u3.tolist(), e.h3.tolist(), e.z.tolist(), e.w.tolist(), e.u.tolist())
-        for i, (c, min_distance, _), qn, q2, h2, u3, h3, z, w, u in fields:
-            reports[i] = EstimateReport(
-                n=n, d=d, eps=eps, eps0=eps0, r=config.r, n_pairs_close=c,
-                min_distance=min_distance, qn_raw=qn, q2_hat=q2, h2_hat=h2, u3_hat=tuple(u3),
-                h3_hat=h3, zeta_hat=z, w_hat=w, u_hat=u)
-    return reports
-
-
 def estimate_report(sample: SeriesSample, config: EstimateConfig) -> EstimateReport:
-    """All estimates of one sample: estimate_reports((sample,), config)[0].
+    """All estimates of one sample, from one paircount._counts call on it (a view).
 
-    A 1-D sample is sorted once and a d >= 2 sample walks its windows once;
-    the pairs, the minimum distance and every lag come from that pass.
+    A 1-D sample is sorted once and a d >= 2 sample walks its windows once,
+    at the larger radius; the pairs, the minimum distance and every lag
+    come from that pass.  The estimates come from the counts by the
+    formulas a study uses (_estimates, over one sample).
     """
-    return estimate_reports((sample,), config)[0]
+    n, d = sample.n, sample.d
+    volumes = _checked_volumes(n, d, config)
+    eps, eps0 = float(config.eps), config.resolved_eps0
+    [(count, min_sq, triples)] = _counts(sample.points[None], eps, eps0, range(config.r + 1))
+    e = _estimates(n, d, config, volumes, [count], [triples])
+    e.check(config, d)
+    min_sq = _exact_min_sq(sample.points, min_sq, max(eps * eps, eps0 * eps0))
+    return EstimateReport(
+        n=n, d=d, eps=eps, eps0=eps0, r=config.r, n_pairs_close=count,
+        min_distance=math.sqrt(min_sq), qn_raw=float(e.qn[0]), q2_hat=float(e.q2[0]),
+        h2_hat=float(e.h2[0]), u3_hat=tuple(e.u3[0].tolist()), h3_hat=float(e.h3[0]),
+        zeta_hat=float(e.z[0]), w_hat=float(e.w[0]), u_hat=float(e.u[0]))
 
 
 def _scaler(kind: ResidualKind, w_hat, u_hat):

@@ -63,10 +63,10 @@ __all__ = [
 # and a scratch column: eight for a pivot of keys_3d_grid), which at 2^14
 # entries, 128 KiB each, stay within a 2 MiB L2 cache
 _BLOCK = 1 << 14
-# values per stack of samples given to one _counts call (by estimate_reports
-# and the studies): a 1-D lag reads and writes about eight arrays of 8 bytes
-# a value, which at 2^15 values stay within a 2 MiB L2 cache; 2^16 values
-# counted 100 samples of n = 500 about 20% slower on a 2-vCPU Xeon
+# values per stack of replicates given to one _counts call by a Monte Carlo
+# study (montecarlo._counted): a 1-D lag reads and writes about eight arrays
+# of 8 bytes a value, which at 2^15 values stay within a 2 MiB L2 cache;
+# 2^16 values counted 100 samples of n = 500 about 20% slower on a 2-vCPU Xeon
 _STACK_VALUES = 1 << 15
 
 
@@ -331,6 +331,17 @@ def _min_sq_distance(pts: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore")
+def _exact_min_sq(pts: np.ndarray, min_sq: float, radius_sq: float) -> float:
+    """The exact squared minimum distance of an (n, d) sample, from the
+    minimum _counts gave for it at pass radius radius_sq: a 1-D minimum
+    (_counts_1d) is always exact, and a d >= 2 window minimum is exact
+    within the radius and is recomputed (_min_sq_distance) above it."""
+    if pts.shape[1] == 1 or min_sq <= radius_sq:
+        return min_sq
+    return _min_sq_distance(pts)
+
+
+@np.errstate(over="ignore")
 def _rank_windows(v: np.ndarray, eps_sq: float) -> tuple[np.ndarray, np.ndarray]:
     """Windows [lo[p], hi[p]) of the sorted positions q within eps of v[p].
 
@@ -451,8 +462,7 @@ def count_close_pairs(sample: SeriesSample, eps: float) -> PairCountResult:
     if n < 2:
         raise ValueError("pair counting needs at least two observations")
     count, min_sq, _ = _counts(sample.points[None], eps, eps, ())[0]
-    if min_sq > eps * eps:
-        min_sq = _min_sq_distance(sample.points)
+    min_sq = _exact_min_sq(sample.points, min_sq, eps * eps)
     return PairCountResult(n_pairs_close=count, min_distance=math.sqrt(min_sq), n=n, eps=eps)
 
 
@@ -520,8 +530,8 @@ def _counts(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, flo
     takes one window pass (_window_scan) at the larger radius, or at eps
     with no lags, and with lags the pairs within eps0 it keeps give the
     edge keys of every lag.  Its minimum is exact when it is within the
-    pass radius; a caller that reports it completes it otherwise
-    (_min_sq_distance), which a study, not reading it, never pays.
+    pass radius; a caller that reports it completes it with _exact_min_sq,
+    which a study, not reading it, never pays.
     """
     n, d = x.shape[1:]
     if d == 1:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import partial
@@ -97,40 +98,63 @@ class ProcessSpec:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"spec field 'params' must be an object, got {type(params).__name__}")
-        params = dict(params)
-        integer = partial(_json_field, f"family {family!r} spec param", params, types=int, what="an integer")
-        try:
-            if family == "gaussian_ma":
-                return gaussian_ma_process(params["theta"])
-            if family == "lognormal_ma":
-                return lognormal_ma_process(params["theta"])
-            if family == "cauchy_ratio":
-                return cauchy_ratio_process()
-            if family == "copula_onedep":
-                return copula_onedep_process(params["theta"], params.get("marginal", "uniform"))
-            if family == "pearson2":
-                return pearson2_process(params["mu"], params["sigma"], integer("m", default=None))
-            if family == "iid_uniform":
-                return iid_uniform_process(integer("d", default=1))
-        except TypeError as exc:
-            # a parameter of the wrong JSON type, such as null or a list for a number
-            raise ValueError(f"spec params of family {family!r}: {exc}") from None
+        param = partial(_json_field, f"family {family!r} spec param", params)
+        if family == "gaussian_ma":
+            return gaussian_ma_process(param("theta", _is_vector, _VECTOR))
+        if family == "lognormal_ma":
+            return lognormal_ma_process(param("theta", _is_vector, _VECTOR))
+        if family == "cauchy_ratio":
+            return cauchy_ratio_process()
+        if family == "copula_onedep":
+            return copula_onedep_process(param("theta", _is_number, "a number"),
+                                         param("marginal", _is(str), "a string", "uniform"))
+        if family == "pearson2":
+            return pearson2_process(param("mu", _is_vector, _VECTOR), param("sigma", _is_matrix, _MATRIX),
+                                    param("m", _is(int), "an integer", None))
+        if family == "iid_uniform":
+            return iid_uniform_process(param("d", _is(int), "an integer", 1))
         raise ValueError(f"unknown process family {family!r}")
 
 
 _REQUIRED = object()
 
 
-def _json_field(owner: str, doc: dict, name: str, types, what: str, default=_REQUIRED):
-    """doc[name], or default when absent, checked to be one of the JSON types
-    (a bool is not a number), so no float or string is truncated or parsed
-    where an integer is due.  owner names the field in errors."""
+def _is(*types):
+    """The check that a JSON value is of one of types; a bool is not a number."""
+    return lambda value: isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or float, not a bool, that is a finite float (a JSON int may
+    be too large for one)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+_VECTOR = "a number or a list of numbers"
+_MATRIX = "a list of equal-length lists of numbers"
+
+
+def _is_vector(value) -> bool:
+    return _is_number(value) or isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_matrix(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == len(value[0]) and all(map(_is_number, row)) for row in value)
+
+
+def _json_field(owner: str, doc: dict, name: str, valid, what: str, default=_REQUIRED):
+    """doc[name], or default when absent, where valid(doc[name]) holds, so
+    no string is parsed as a number and no float is truncated where an
+    integer is due.  owner names the field, and what the JSON type it
+    must have, in errors."""
     if name not in doc:
         if default is _REQUIRED:
             raise ValueError(f"{owner} {name!r} is missing")
         return default
     value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if not valid(value):
         raise ValueError(f"{owner} {name!r} must be {what}, got {json.dumps(value)}")
     return value
 

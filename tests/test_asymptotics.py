@@ -25,7 +25,7 @@ def test_pmf_matches_scipy(mu):
     ks = np.arange(0, 41)
     ours = np.array([law.pmf(int(k)) for k in ks])
     assert np.allclose(ours, st.poisson.pmf(ks, mu), rtol=1e-12, atol=1e-300)
-    assert np.allclose(law.pmf_upto(40), ours, rtol=1e-15)
+    assert law.pmf_upto(40).tolist() == ours.tolist()
     assert law.p_zero == math.exp(-mu)
     assert law.pmf(-1) == 0.0
 

@@ -356,6 +356,16 @@ def test_integer_spec_params_are_not_truncated(tmp_path, capsys, family, params,
     assert f"{family!r}" in err and field in err and "must be an integer" in err
 
 
+def test_spec_params_are_not_parsed_from_strings(tmp_path, capsys):
+    csv_out = tmp_path / "gen.csv"
+    assert cli.main(["generate", "--family", "copula_onedep", "--params", '{"theta": "2.5"}',
+                     "--n", "20", "--output", str(csv_out)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not csv_out.exists()
+    assert err == ("error: family 'copula_onedep' spec param 'theta' must be a number, "
+                   'got "2.5"\n')
+
+
 def test_generate_requires_exactly_one_source(tmp_path, capsys):
     csv_out = str(tmp_path / "gen.csv")
     assert cli.main(["generate", "--n", "10", "--output", csv_out]) == 1

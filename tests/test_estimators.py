@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from helpers import brute_pair_count, brute_uh_count, scalar_estimates
 
+from epsentropy import estimators
 from epsentropy.core import RngStream, SeriesSample, ball_volume, unit_ball_volume
 from epsentropy.estimators import (
     EstimateConfig,
     EstimateReport,
     ResidualKind,
     estimate_report,
-    estimate_reports,
     residual,
     residual_from_report,
     suggest_eps,
@@ -194,32 +194,6 @@ def test_1d_report_matches_separate_calls(eps, eps0, duplicates):
     assert rep.u3_hat == tuple(_u3_from_count(s, h, eps0) for h in range(7))
 
 
-def _bits(report):
-    """Every field of a report, floats as their exact hex form."""
-    def exact(v):
-        if isinstance(v, float):
-            return v.hex()
-        if isinstance(v, tuple):
-            return tuple(exact(t) for t in v)
-        return v
-    return {k: exact(getattr(report, k)) for k in report.__dataclass_fields__}
-
-
-@pytest.mark.parametrize("eps0", [None, 0.05, 0.4])
-def test_reports_of_many_samples_match_one_by_one(eps0):
-    gen = RngStream(20, 0).generator()
-    samples = [SeriesSample(gen.normal(size=n)) for n in (40, 40, 57, 40, 57, 9)]
-    samples.append(SeriesSample(np.round(gen.normal(size=40) * 8) / 8))  # ties and gaps of eps
-    cfg = EstimateConfig(eps=0.25, eps0=eps0, r=5)
-    reports = estimate_reports(samples, cfg)
-    assert [_bits(r) for r in reports] == [_bits(estimate_report(s, cfg)) for s in samples]
-    # a d = 2 sample keeps its own pass and its place in the list
-    mixed = samples[:2] + [_sample(21, 30, 2)] + samples[2:]
-    assert [_bits(r) for r in estimate_reports(mixed, cfg)] == (
-        [_bits(r) for r in reports[:2]] + [_bits(estimate_report(mixed[2], cfg))]
-        + [_bits(r) for r in reports[2:]])
-
-
 def _hex(fields):
     return {k: tuple(t.hex() for t in v) if isinstance(v, tuple) else v.hex()
             for k, v in fields.items()}
@@ -228,15 +202,15 @@ def _hex(fields):
 @pytest.mark.parametrize("eps,eps0,r", [(0.25, None, 0), (0.4, 0.3, 4), (0.3, None, 6),
                                         (0.2, 0.15, 5), (0.5, 0.4, 6)])
 def test_report_fields_match_the_scalar_formulas(eps, eps0, r):
-    # the estimates of many samples are computed as arrays; each must have the
-    # bits of the one-sample formulas in Python floats.  Random walks make
+    # the estimates are computed as arrays, as a study's are; each must have
+    # the bits of the one-sample formulas in Python floats.  Random walks make
     # zeta_hat exceed 1/n, so w_hat reads it.
     gen = RngStream(24, 0).generator()
     samples = [SeriesSample(np.cumsum(gen.normal(size=n)) * 0.1) for n in (30, 30, 45)]
     samples.append(_sample(25, 30, 2))
     cfg = EstimateConfig(eps=eps, eps0=eps0, r=r)
     e0 = cfg.resolved_eps0
-    reports = estimate_reports(samples, cfg)
+    reports = [estimate_report(s, cfg) for s in samples]
     for s, report in zip(samples, reports):
         want = scalar_estimates(s.n, count_close_pairs(s, eps).n_pairs_close,
                                 [count_uh_triples(s, h, e0) for h in range(r + 1)],
@@ -246,10 +220,10 @@ def test_report_fields_match_the_scalar_formulas(eps, eps0, r):
     assert any(rep.zeta_hat > 1.0 / rep.n for rep in reports)
 
 
-def test_reports_check_every_sample_before_counting():
-    assert estimate_reports([], EstimateConfig(eps=0.1)) == []
-    with pytest.raises(ValueError, match="need n >= r"):
-        estimate_reports([_sample(19, 40), _sample(19, 6)], EstimateConfig(eps=0.1, r=3))
+def test_report_checks_n_before_counting(monkeypatch):
+    monkeypatch.setattr(estimators, "_counts", lambda *args: pytest.fail("counted"))
+    with pytest.raises(ValueError, match=r"need n >= r \+ 4 \(n=6, r=3\)"):
+        estimate_report(_sample(19, 6), EstimateConfig(eps=0.1, r=3))
 
 
 def test_report_rejects_radii_whose_volumes_underflow():

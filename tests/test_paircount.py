@@ -15,14 +15,9 @@ from helpers import (
     brute_uh_count,
 )
 
-from epsentropy import estimators, paircount
+from epsentropy import paircount
 from epsentropy.core import RngStream, SeriesSample
-from epsentropy.estimators import (
-    EstimateConfig,
-    estimate_report,
-    estimate_reports,
-    triple_normalizer,
-)
+from epsentropy.estimators import EstimateConfig, estimate_report, triple_normalizer
 from epsentropy.montecarlo import SimulationPlan, run_residual_study
 from epsentropy.paircount import (
     close_pairs,
@@ -234,6 +229,20 @@ def test_min_distance_reported_even_without_close_pairs():
     assert res.min_distance == 0.5
 
 
+@pytest.mark.parametrize("eps,eps0", [(0.1, None), (0.1, 0.4), (0.4, 0.1)])
+def test_1d_minimum_without_close_pairs_is_not_recomputed(monkeypatch, eps, eps0):
+    # the sort of _counts_1d gives the exact minimum whether or not a pair
+    # is within the radius, so the sample is never sorted a second time
+    pts = np.array([[0.0], [7.0], [30.0], [7.5], [-3.0], [12.25]])
+    monkeypatch.setattr(paircount, "_min_sq_distance", lambda _: pytest.fail("sorted again"))
+    s = SeriesSample(pts)
+    res = count_close_pairs(s, eps)
+    assert (res.n_pairs_close, res.min_distance) == (0, brute_min_distance(pts))
+    rep = estimate_report(s, EstimateConfig(eps=eps, eps0=eps0, r=2))
+    assert (rep.n_pairs_close, rep.min_distance) == (0, brute_min_distance(pts))
+    assert rep.u3_hat == (0.0, 0.0, 0.0)
+
+
 def test_min_distance_needs_two_points():
     with pytest.raises(ValueError):
         min_interpoint_distance(SeriesSample([[0.0]]))
@@ -400,25 +409,6 @@ def test_exact_sum_int64_at_its_bound():
     # one past it the chunks add as Python ints
     total = _exact_sum(terms, bound + 1)
     assert total.dtype == object and total.tolist() == want
-
-
-def test_stacked_counts_are_bounded_chunks(monkeypatch):
-    # at 100 values a stack, the reports of samples of d = 1, 2, 3 and two n
-    # are counted in stacks of one to three samples; they equal the reports
-    # counted at the default stack size, where each shape is one stack
-    gen = RngStream(68, 0).generator()
-    samples = [SeriesSample(np.round(gen.normal(size=(n, d)) * 8) / 8)
-               for d in (1, 2, 3) for n in (30, 50) for _ in range(4)]
-    config = EstimateConfig(eps=0.25, eps0=0.125, r=4)
-    whole = estimate_reports(samples, config)
-    stacks = []
-    counts = estimators._counts
-    monkeypatch.setattr(estimators, "_counts", lambda x, *args: stacks.append(x.shape) or counts(x, *args))
-    monkeypatch.setattr(paircount, "_STACK_VALUES", 100)
-    assert estimate_reports(samples, config) == whole
-    assert sum(k for k, _, _ in stacks) == len(samples)
-    assert all(k * n * d <= 100 or k == 1 for k, n, d in stacks)
-    assert max(k for k, _, _ in stacks) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,51 @@ def test_spec_from_json_integer_params_default_when_absent():
     assert ProcessSpec.from_json({"family": "pearson2", "params": dict(pearson2, m=2)}).m == 2
 
 
+_PEARSON2 = {"mu": [0.0, 1.0], "sigma": [[1.0, 0.2], [0.2, 2.0]]}
+
+
+@pytest.mark.parametrize("family,params,field,what", [
+    ("copula_onedep", {"theta": "2.5"}, "theta", "a number"),
+    ("copula_onedep", {"theta": True}, "theta", "a number"),
+    ("copula_onedep", {"theta": [2.5]}, "theta", "a number"),
+    ("copula_onedep", {"theta": None}, "theta", "a number"),
+    ("copula_onedep", {"theta": 10**400}, "theta", "a number"),
+    ("copula_onedep", {}, "theta", "missing"),
+    ("copula_onedep", {"theta": 2.5, "marginal": ["normal"]}, "marginal", "a string"),
+    ("copula_onedep", {"theta": 2.5, "marginal": None}, "marginal", "a string"),
+    ("gaussian_ma", {"theta": "1.5"}, "theta", "a number or a list of numbers"),
+    ("gaussian_ma", {"theta": [True, 1]}, "theta", "a number or a list of numbers"),
+    ("gaussian_ma", {"theta": [[0.5, 0.5]]}, "theta", "a number or a list of numbers"),
+    ("gaussian_ma", {"theta": [1.0, -(10**400)]}, "theta", "a number or a list of numbers"),
+    ("lognormal_ma", {"theta": ["1.0", 0.5]}, "theta", "a number or a list of numbers"),
+    ("lognormal_ma", {}, "theta", "missing"),
+    ("pearson2", dict(_PEARSON2, mu="0"), "mu", "a number or a list of numbers"),
+    ("pearson2", dict(_PEARSON2, mu=[0.0, False]), "mu", "a number or a list of numbers"),
+    ("pearson2", dict(_PEARSON2, sigma=[1.0, 2.0]), "sigma", "a list of equal-length lists"),
+    ("pearson2", dict(_PEARSON2, sigma=[[1.0, 0.2], [0.2, "2"]]), "sigma", "a list of equal-length lists"),
+    ("pearson2", dict(_PEARSON2, sigma=[[1.0, 0.2], [2.0]]), "sigma", "a list of equal-length lists"),
+    ("pearson2", dict(_PEARSON2, sigma=[[1.0, 0.2], [0.2, math.inf]]), "sigma", "a list of equal-length lists"),
+])
+def test_spec_from_json_rejects_params_of_the_wrong_json_type(family, params, field, what):
+    with pytest.raises(ValueError) as info:
+        ProcessSpec.from_json({"family": family, "params": params})
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith(f"family {family!r} spec param {field!r}") and what in message
+
+
+@pytest.mark.parametrize("doc,want", [
+    ({"family": "copula_onedep", "params": {"theta": 2}}, copula_onedep_process(2.0)),
+    ({"family": "copula_onedep", "params": {"theta": 0, "marginal": "normal"}},
+     copula_onedep_process(0.0, "normal")),
+    ({"family": "gaussian_ma", "params": {"theta": 2}}, gaussian_ma_process([2.0])),
+    ({"family": "lognormal_ma", "params": {"theta": [1, 0.5]}}, lognormal_ma_process([1.0, 0.5])),
+    ({"family": "pearson2", "params": {"mu": 0, "sigma": [[2]]}}, pearson2_process([0.0], [[2.0]])),
+])
+def test_spec_from_json_takes_json_integers_as_numbers(doc, want):
+    assert ProcessSpec.from_json(doc) == want
+
+
 def test_generate_dispatch_and_determinism():
     for spec in (
         ma2_normal_process(),
