@@ -31,8 +31,9 @@ for target in ("q2", "h2"):
     print("95%% %s interval        [%.6f, %.6f]" % (target, ci.lower, ci.upper))
 
 # an interval that needs no variance estimate at all: the smallest
-# inter-point distance is approximately an Exp(1) pivot after scaling
-pivot = exp_pivot_ci(series.sample, level=0.95)
+# inter-point distance (counted with the report) is approximately an Exp(1)
+# pivot after scaling
+pivot = exp_pivot_ci(report.n, report.d, report.min_distance, level=0.95)
 print("95%% q2 pivot interval  [%.6f, %.6f]  (from the minimum gap alone)"
       % (pivot.lower, pivot.upper))
 print()

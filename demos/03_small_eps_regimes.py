@@ -35,8 +35,9 @@ covered = 0
 n_sim = 500
 for i in range(n_sim):
     sample = generate(spec, n, RngStream(12, i)).sample
-    pivots.append(scale * min_interpoint_distance(sample))
-    if exp_pivot_ci(sample, level=0.9).contains(spec.truth.q2):
+    y = min_interpoint_distance(sample)
+    pivots.append(scale * y)
+    if exp_pivot_ci(sample.n, sample.d, y, level=0.9).contains(spec.truth.q2):
         covered += 1
 
 d_stat, p = ks_test(pivots, "exp1")

@@ -30,7 +30,8 @@ print("one draw, n=%d:  q2_hat %.4f  (truth %.4f)   h2_hat %.4f   s2 %.5f"
 print()
 
 # batch of standardized errors, as in the continuous case
-residuals = [discrete_residual(chain(500, RngStream(31, i)), 1, q2_true, "q")
+residuals = [discrete_residual(discrete_report(chain(500, RngStream(31, i)), r=1),
+                               q2_true, "q")
              for i in range(1, 301)]
 d_stat, p = ks_test(residuals, "std_normal")
 print("300 replicates of n=500:  residual KS vs N(0,1)  D = %.4f  p = %.4f" % (d_stat, p))

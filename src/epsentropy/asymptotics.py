@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeriesSample, ball_volume, normal_quantile, unit_ball_volume
+from .core import ball_volume, normal_quantile, unit_ball_volume
 from .estimators import EstimateReport
-from .paircount import min_interpoint_distance
+from .paircount import min_interpoint_distance  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 __all__ = [
     "PoissonApprox",
@@ -98,25 +98,37 @@ def poisson_p_key(n: int, d: int, eps: float, q2: float) -> float:
     return PoissonApprox.from_plugin(n, d, eps, q2).p_zero
 
 
-def exp_pivot_ci(sample: SeriesSample, level: float = 0.95) -> ConfidenceInterval:
-    """Confidence interval for q2 from the minimum inter-point distance.
+def exp_pivot_ci(n: int, d: int, min_distance: float, level: float = 0.95) -> ConfidenceInterval:
+    """Confidence interval for q2 from the minimum inter-point distance Y_n
+    of n points in R^d: a report's min_distance, or
+    paircount.min_interpoint_distance of a sample.
 
     With Z = (b_1(d) q2 / 2) n^2 Y_n^d asymptotically Exp(1), inverting
     c1 <= Z <= c2 at the equal-tail exponential quantiles gives
-    [2 c1 / (n^2 b_1(d) Y_n^d), 2 c2 / (n^2 b_1(d) Y_n^d)].
+    [2 c1 / (n^2 b_1(d) Y_n^d), 2 c2 / (n^2 b_1(d) Y_n^d)].  Raises where
+    Y_n^d overflows or underflows so far that a bound is not finite.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    n, d = sample.n, sample.d
     if n < 2:
         raise ValueError("need n >= 2")
-    y = min_interpoint_distance(sample)
+    vol1 = unit_ball_volume(d)
+    y = float(min_distance)  # so that y**d raises OverflowError, as numpy scalars do not
+    if not (y >= 0.0 and math.isfinite(y)):
+        raise ValueError(f"minimum distance must be finite and nonnegative, got {y}")
     if y == 0.0:
-        raise ValueError("duplicate observations: minimum distance is zero, pivot degenerate")
+        raise ValueError("minimum distance is zero (duplicate rows, or a squared distance "
+                         "below the smallest float); pivot degenerate")
     c1 = -math.log((1.0 + level) / 2.0)
     c2 = -math.log((1.0 - level) / 2.0)
-    denom = n * n * unit_ball_volume(d) * y**d
-    return ConfidenceInterval(lower=2.0 * c1 / denom, upper=2.0 * c2 / denom, level=level, method="exp_pivot")
+    try:
+        denom = n * n * vol1 * y**d
+    except OverflowError:
+        denom = math.inf
+    upper = 2.0 * c2 / denom if 0.0 < denom < math.inf else math.inf
+    if not math.isfinite(upper):
+        raise ValueError(f"pivot interval is not finite at minimum distance {y} in dimension {d}")
+    return ConfidenceInterval(lower=2.0 * c1 / denom, upper=upper, level=level, method="exp_pivot")
 
 
 _NORMAL_CI_METHODS = {

@@ -29,7 +29,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -58,7 +58,7 @@ def _cmd_estimate(args: argparse.Namespace) -> dict:
         ]
     if args.exp_pivot:
         doc["intervals"] = doc.get("intervals", []) + [
-            exp_pivot_ci(sample, level=args.level).to_dict()
+            exp_pivot_ci(report.n, report.d, report.min_distance, level=args.level).to_dict()
         ]
     return doc
 
@@ -143,7 +143,7 @@ def _cmd_discrete(args: argparse.Namespace) -> dict:
     if args.truth is not None:
         if args.kind is None:
             raise ValueError("--truth needs --kind (q or h)")
-        doc["residual"] = discrete_residual(sample, args.r, args.truth, args.kind)
+        doc["residual"] = discrete_residual(report, args.truth, args.kind)
         doc["run"]["truth"] = args.truth
         doc["run"]["kind"] = args.kind
     return doc

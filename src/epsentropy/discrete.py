@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _zeta_from, triple_normalizer
+from .estimators import ResidualKind, _residual, _zeta_from, triple_normalizer
 from .paircount import _lagged_triples
 
 __all__ = [
@@ -135,23 +135,30 @@ def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:
     )
 
 
-def discrete_residual(sample: DiscreteSample, r: int, truth: float, kind: str) -> float:
-    """Pivotal residual sqrt(n) (Q_n - q2) / (2 s) or sqrt(n) Q_n (H_n - h2) / (2 s).
+_RESIDUAL_KINDS = {"q": ResidualKind.Q_SQRTN, "h": ResidualKind.H_SQRTN}
+
+
+def discrete_residual(report: DiscreteReport, truth: float, kind: str) -> float:
+    """Pivotal residual sqrt(n) (Q_n - q2) / (2 s) or sqrt(n) Q_n (H_n - h2) / (2 s)
+    from a discrete report.
 
     kind is "q" (truth = population tie probability) or "h" (truth =
     population collision entropy).  Raises when s2 <= 0: the pivot requires a
     strictly positive long-run variance, which an iid uniform alphabet fails.
     """
-    if kind not in ("q", "h"):
+    if kind not in _RESIDUAL_KINDS:
         raise ValueError(f'kind must be "q" or "h", got {kind!r}')
-    rep = discrete_report(sample, r)
-    if rep.s2_hat <= 0.0:
+    truth = float(truth)
+    if not math.isfinite(truth):
+        raise ValueError(f"truth must be finite, got {truth}")
+    if report.s2_hat <= 0.0:
         raise ValueError(
-            f"s2 = {rep.s2_hat:.3e} is not positive (degenerate, e.g. uniform alphabet); "
+            f"s2 = {report.s2_hat:.3e} is not positive (degenerate, e.g. uniform alphabet); "
             "residual undefined"
         )
-    s = math.sqrt(rep.s2_hat)
-    root_n = math.sqrt(sample.n)
-    if kind == "q":
-        return root_n * (rep.qn - float(truth)) / (2.0 * s)
-    return root_n * rep.qn * (rep.h2_hat - float(truth)) / (2.0 * s)
+    # the sqrt(n) kinds read no radius
+    res = _residual(_RESIDUAL_KINDS[kind], truth, report.n, math.nan, report.d, report.qn,
+                    report.h2_hat, 2.0 * math.sqrt(report.s2_hat))
+    if not math.isfinite(res):
+        raise ValueError(f"residual is not finite at truth {truth}")
+    return res

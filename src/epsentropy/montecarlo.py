@@ -44,7 +44,7 @@ from .estimators import (
 )
 from .estimators import estimate_report  # noqa: F401  (unused; perfbench/spans.py wraps it)
 from .paircount import _checked_eps, _counts
-from .processes import ProcessSpec, Sampler, _is, _json_field, sampler
+from .processes import ProcessSpec, Sampler, _is, _is_number, _json_field, sampler
 from .processes import generate  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 __all__ = [
@@ -110,13 +110,13 @@ class SimulationPlan:
         if not isinstance(doc, dict):
             raise ValueError(f"plan must be an object, got {type(doc).__name__}")
         get = partial(_json_field, "plan field", doc)
-        eps0 = get("eps0", _is(int, float, type(None)), "a number or null", None)
+        eps0 = get("eps0", lambda v: v is None or _is_number(v), "a number or null", None)
         return SimulationPlan(
             spec=ProcessSpec.from_json(get("spec", _is(dict), "an object")),
             n=get("n", _is(int), "an integer"),
             n_sim=get("n_sim", _is(int), "an integer"),
             config=EstimateConfig(
-                eps=float(get("eps", _is(int, float), "a number")),
+                eps=float(get("eps", _is_number, "a number")),
                 eps0=None if eps0 is None else float(eps0),
                 r=get("r", _is(int), "an integer", 0),
             ),

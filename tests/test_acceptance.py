@@ -115,8 +115,9 @@ def test_criterion_05_exp_pivot_and_coverage():
     n_sim = 2000
     for i in range(n_sim):
         sample = generate(spec, n, RngStream(SEED, i)).sample
-        pivots.append(scale * min_interpoint_distance(sample))
-        if exp_pivot_ci(sample, level=0.95).contains(1.0):
+        y = min_interpoint_distance(sample)
+        pivots.append(scale * y)
+        if exp_pivot_ci(sample.n, sample.d, y, level=0.95).contains(1.0):
             covered += 1
     _, p = ks_test(pivots, "exp1")
     coverage = covered / n_sim
@@ -223,8 +224,9 @@ def test_criterion_11_discrete_residuals_and_s2():
     for i in range(500):
         u = RngStream(SEED, i).generator().random(501)
         chain = DiscreteSample((u[:-1] + u[1:] > 1.2).astype(np.int64))
-        res_q.append(discrete_residual(chain, 1, q2_true, "q"))
-        res_h.append(discrete_residual(chain, 1, h2_true, "h"))
+        report = discrete_report(chain, 1)
+        res_q.append(discrete_residual(report, q2_true, "q"))
+        res_h.append(discrete_residual(report, h2_true, "h"))
     _, p_q = ks_test(res_q, "std_normal")
     _, p_h = ks_test(res_h, "std_normal")
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from epsentropy.asymptotics import (
 )
 from epsentropy.core import RngStream, SeriesSample, ball_volume, normal_quantile
 from epsentropy.estimators import EstimateConfig, estimate_report
+from epsentropy.paircount import min_interpoint_distance
+
+
+def _pivot(sample, level=0.95):
+    return exp_pivot_ci(sample.n, sample.d, min_interpoint_distance(sample), level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +64,7 @@ def test_poisson_p_key_closed_form():
 def test_exp_pivot_hand_case():
     # Y_n = 1, d = 1: denom = n^2 * 2 * 1
     s = SeriesSample([0.0, 1.0, 3.0])
-    ci = exp_pivot_ci(s, level=0.95)
+    ci = _pivot(s, level=0.95)
     denom = 9 * 2.0
     assert ci.lower == pytest.approx(-2.0 * math.log(0.975) / denom, rel=1e-14)
     assert ci.upper == pytest.approx(-2.0 * math.log(0.025) / denom, rel=1e-14)
@@ -69,7 +75,7 @@ def test_exp_pivot_hand_case():
 def test_exp_pivot_dimension_power():
     # d = 2 uses Y^2: points at distance 0.5 on one axis
     pts = np.array([[0.0, 0.0], [0.5, 0.0], [9.0, 9.0]])
-    ci = exp_pivot_ci(SeriesSample(pts), level=0.9)
+    ci = _pivot(SeriesSample(pts), level=0.9)
     denom = 9 * math.pi * 0.25
     assert ci.lower == pytest.approx(-2.0 * math.log(0.95) / denom, rel=1e-13)
     assert ci.upper == pytest.approx(-2.0 * math.log(0.05) / denom, rel=1e-13)
@@ -77,18 +83,47 @@ def test_exp_pivot_dimension_power():
 
 def test_exp_pivot_nests_with_level():
     s = SeriesSample(RngStream(5, 0).generator().random(100))
-    lo = exp_pivot_ci(s, level=0.5)
-    hi = exp_pivot_ci(s, level=0.99)
+    lo = _pivot(s, level=0.5)
+    hi = _pivot(s, level=0.99)
     assert hi.lower < lo.lower and lo.upper < hi.upper
 
 
 def test_exp_pivot_validation():
     with pytest.raises(ValueError, match="duplicate"):
-        exp_pivot_ci(SeriesSample([1.0, 1.0, 2.0]))
+        _pivot(SeriesSample([1.0, 1.0, 2.0]))
+    # rows 1e-200 apart: the squared gap underflows to 0
+    with pytest.raises(ValueError, match=r"zero \(duplicate rows, or a squared distance below"):
+        _pivot(SeriesSample([0.0, 1e-200, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        exp_pivot_ci(SeriesSample([1.0]))
+        exp_pivot_ci(1, 1, 1.0)
     with pytest.raises(ValueError):
-        exp_pivot_ci(SeriesSample([0.0, 1.0]), level=1.0)
+        _pivot(SeriesSample([0.0, 1.0]), level=1.0)
+
+
+@pytest.mark.parametrize("n,d,y,level", [
+    (1, 1, 1.0, 0.95),
+    (10, 0, 1.0, 0.95),
+    (10, 65, 1.0, 0.95),
+    (10, 1, -1.0, 0.95),
+    (10, 1, math.nan, 0.95),
+    (10, 1, math.inf, 0.95),
+    (10, 1, 1.0, 0.0),
+    (10, 1, 1.0, 1.0),
+])
+def test_exp_pivot_rejects_bad_inputs(n, d, y, level):
+    with pytest.raises(ValueError):
+        exp_pivot_ci(n, d, y, level=level)
+
+
+@pytest.mark.parametrize("n,d,y", [
+    (6, 32, 1e10),                  # y**d overflows
+    (100, 3, 1e102),                # n^2 b_1(d) y**d overflows
+    (6, 3, 1e-150),                 # y**d underflows to 0
+    (6, 3, math.sqrt(3) * 1e-105),  # the upper bound overflows
+])
+def test_exp_pivot_rejects_infinite_bounds(n, d, y):
+    with pytest.raises(ValueError, match=re.escape(f"minimum distance {y} in dimension {d}")):
+        exp_pivot_ci(n, d, y)
 
 
 # ---------------------------------------------------------------------------

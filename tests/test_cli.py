@@ -70,7 +70,46 @@ def test_estimate_interval_stack(sample_csv, tmp_path):
     ref = estimate_report(sample, EstimateConfig(eps=0.05, r=2))
     assert doc["intervals"][0] == normal_ci(ref, target="q2", regime="sqrtn", level=0.9).to_dict()
     assert doc["intervals"][1] == normal_ci(ref, target="h2", regime="sqrtn", level=0.9).to_dict()
-    assert doc["intervals"][2] == exp_pivot_ci(sample, level=0.9).to_dict()
+    assert doc["intervals"][2] == exp_pivot_ci(ref.n, ref.d, ref.min_distance, level=0.9).to_dict()
+
+
+def test_estimate_exp_pivot_counts_the_sample_once(sample_csv, capsys, monkeypatch):
+    # the interval reads the report's minimum; a second count would raise
+    argv = ["estimate", "--input", sample_csv[0], "--eps", "0.05", "--r", "2", "--ci", "sqrtn",
+            "--exp-pivot"]
+    assert cli.main(argv) == 0
+    once = capsys.readouterr()
+
+    def recount(*_):
+        raise AssertionError("the sample was counted twice")
+
+    monkeypatch.setattr("epsentropy.paircount._min_sq_distance", recount)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == once
+
+
+_NOT_FINITE = r"pivot interval is not finite at minimum distance {} in dimension {}"
+
+
+@pytest.mark.parametrize("rows,eps,message", [
+    # y**d overflows
+    ([[1e10 * i] + [0.0] * 31 for i in range(6)], "1", _NOT_FINITE.format(r"1\d+\.0", 32)),
+    # y**d underflows to 0
+    ([[1e-150 * i, 0.0, 0.0] for i in range(6)], "0.5", _NOT_FINITE.format(r"\S+e-15\d", 3)),
+    # the upper bound overflows
+    ([[1e-105 * i, 0.0, 0.0] for i in range(6)], "1e10", _NOT_FINITE.format(r"\S+e-10\d", 3)),
+    # the squared minimum underflows to 0
+    ([[1e-200 * i] for i in range(6)], "0.5",
+     re.escape("minimum distance is zero (duplicate rows, or a squared distance below the "
+               "smallest float); pivot degenerate")),
+])
+def test_exp_pivot_arithmetic_failure_is_a_clean_failure(tmp_path, capsys, rows, eps, message):
+    path = str(tmp_path / "sample.csv")
+    write_sample_csv(SeriesSample(rows), path)
+    assert cli.main(["estimate", "--input", path, "--eps", eps, "--exp-pivot"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"error: {message}\n", err)
 
 
 def test_estimate_stdout_equals_file(sample_csv, tmp_path, capsys):
@@ -173,6 +212,8 @@ _GOOD_PLAN = {"spec": {"family": "iid_uniform", "params": {"d": 1}}, "n": 40, "n
     (dict(_GOOD_PLAN, eps0="0.1"), "'eps0'"),
     (dict(_GOOD_PLAN, base_seed=7.5), "'base_seed'"),
     ({k: v for k, v in _GOOD_PLAN.items() if k != "n_sim"}, "'n_sim'"),
+    (dict(_GOOD_PLAN, eps=10**400), "'eps'"),
+    (dict(_GOOD_PLAN, eps0=10**400), "'eps0'"),
 ])
 def test_simulate_rejects_plans_that_are_not_plan_objects(tmp_path, capsys, doc, field):
     path = str(tmp_path / "plan.json")
@@ -409,9 +450,34 @@ def test_discrete_residual_flags(symbols_csv, tmp_path):
     assert cli.main(["discrete", "--input", path, "--r", "1",
                      "--truth", "0.25", "--kind", "q", "--output", out]) == 0
     doc = _load(out)
-    ref = discrete_residual(DiscreteSample(symbols), 1, 0.25, "q")
+    ref = discrete_residual(discrete_report(DiscreteSample(symbols), 1), 0.25, "q")
     assert doc["residual"] == json.loads(json.dumps(ref))
     assert doc["run"]["truth"] == 0.25 and doc["run"]["kind"] == "q"
+
+
+@pytest.mark.parametrize("kind", ["q", "h"])
+def test_discrete_truth_counts_the_sample_once(symbols_csv, capsys, monkeypatch, kind):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return discrete_report(*args)
+
+    # both names, so a residual that built its own report is counted too
+    monkeypatch.setattr(cli, "discrete_report", counted)
+    monkeypatch.setattr("epsentropy.discrete.discrete_report", counted)
+    assert cli.main(["discrete", "--input", symbols_csv[0], "--r", "1",
+                     "--truth", "0.25", "--kind", kind]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("truth", ["nan", "inf", "-inf", "1e308"])
+def test_discrete_non_finite_residual_is_a_clean_failure(symbols_csv, capsys, truth):
+    assert cli.main(["discrete", "--input", symbols_csv[0], "--r", "1",
+                     f"--truth={truth}", "--kind", "q"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_discrete_truth_needs_kind(symbols_csv, capsys):
@@ -520,6 +586,33 @@ def test_covariance_determinant_that_underflows_is_a_clean_failure(tmp_path, cap
     assert out == ""
     assert err == (f"error: gof statistic overflows at radius {eps} in dimension 3: "
                    "the covariance determinant underflows\n")
+
+
+def _strict(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_every_subcommand_prints_standard_json(tmp_path, capsys, sample_csv, table_csv,
+                                                 symbols_csv):
+    plan, _ = _plan_file(tmp_path)
+    argvs = [
+        ["estimate", "--input", sample_csv[0], "--eps", "0.1", "--r", "2", "--ci", "neps",
+         "--exp-pivot"],
+        ["simulate", "--plan", plan],
+        ["gof", "--input", sample_csv[0], "--eps", "0.25"],
+        ["keys", "--input", table_csv[0], "--eps", "1.0", "--size", "2"],
+        ["generate", "--family", "iid_uniform", "--n", "30", "--output", str(tmp_path / "g.csv")],
+        ["discrete", "--input", symbols_csv[0], "--r", "1", "--truth", "0.3", "--kind", "h"],
+    ]
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        json.loads(capsys.readouterr().out, parse_constant=_strict)
+
+
+def test_emit_refuses_non_finite_numbers(capsys):
+    with pytest.raises(ValueError):
+        cli._emit({"x": float("nan")}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_argparse_failures_exit_2():

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in this checkout."""
+"""Every demo script runs to completion against the package in this checkout,
+with a numeric RuntimeWarning turned into an error, as in the tests."""
 
 import os
 import subprocess
@@ -19,6 +20,6 @@ def test_demos_exist():
 def test_demo_runs(demo, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath}
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, cwd=tmp_path)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

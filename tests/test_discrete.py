@@ -181,10 +181,10 @@ def test_residual_hand_case():
     rep = discrete_report(s, 0)
     assert rep.qn == 0.6 and rep.u3_hat == (0.5,)
     expected_q = math.sqrt(5) * (0.6 - 0.5) / (2.0 * math.sqrt(0.14))
-    assert discrete_residual(s, 0, 0.5, "q") == pytest.approx(expected_q, rel=1e-13)
+    assert discrete_residual(rep, 0.5, "q") == expected_q
     h_truth = 0.4
     expected_h = math.sqrt(5) * 0.6 * (rep.h2_hat - h_truth) / (2.0 * math.sqrt(0.14))
-    assert discrete_residual(s, 0, h_truth, "h") == pytest.approx(expected_h, rel=1e-13)
+    assert discrete_residual(rep, h_truth, "h") == expected_h
 
 
 def test_residual_rejects_nonpositive_s2():
@@ -192,13 +192,25 @@ def test_residual_rejects_nonpositive_s2():
     s = DiscreteSample([1, 1, 1, 2, 2])
     assert discrete_report(s, 0).s2_hat < 0.0
     with pytest.raises(ValueError, match="s2"):
-        discrete_residual(s, 0, 0.5, "q")
+        discrete_residual(discrete_report(s, 0), 0.5, "q")
 
 
 def test_residual_kind_validation():
     s = _sym(17, 40, 2)
     with pytest.raises(ValueError):
-        discrete_residual(s, 0, 0.5, "z")
+        discrete_residual(discrete_report(s, 0), 0.5, "z")
+
+
+@pytest.mark.parametrize("truth,match", [
+    (math.nan, "truth must be finite"),
+    (math.inf, "truth must be finite"),
+    (-math.inf, "truth must be finite"),
+    (1e308, "residual is not finite"),
+])
+def test_residual_rejects_non_finite(truth, match):
+    rep = discrete_report(DiscreteSample([1, 1, 1, 1, 2]), 0)
+    with pytest.raises(ValueError, match=match):
+        discrete_residual(rep, truth, "q")
 
 
 # ---------------------------------------------------------------------------
