@@ -10,7 +10,7 @@ The ratio is scale-invariant, no standardization step is needed.
 from epsentropy.core import RngStream
 from epsentropy.gof import gof_statistic, k_d
 from epsentropy.processes import (
-    gen_gaussian_ma,
+    gaussian_ma_process,
     generate,
     iid_uniform_process,
     pearson2_process,
@@ -28,7 +28,7 @@ res = gof_statistic(null, eps=eps)
 print("Pearson II sample     ratio %.4f   reject %s" % (res.ratio, res.reject))
 
 # alternatives with the same second moments
-normal = gen_gaussian_ma([1.0], n, RngStream(21, 1))
+normal = generate(gaussian_ma_process([1.0]), n, RngStream(21, 1))
 res = gof_statistic(normal.sample, eps=eps)
 print("normal sample         ratio %.4f   reject %s" % (res.ratio, res.reject))
 

@@ -61,9 +61,15 @@ def sample_covariance(sample: SeriesSample) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and covariance with the 1/(n-1) normalization."""
     if sample.n < 2:
         raise ValueError("covariance needs at least two observations")
-    mean = sample.points.mean(axis=0)
-    centered = sample.points - mean
-    cov = centered.T @ centered / (sample.n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = sample.points.mean(axis=0)
+        centered = sample.points - mean
+        cov = centered.T @ centered / (sample.n - 1)
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(
+            f"sample covariance overflows in dimension {sample.d}: the values are too far "
+            "apart for float arithmetic"
+        )
     return mean, cov
 
 

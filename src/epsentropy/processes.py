@@ -9,8 +9,10 @@ and the long-run density variance zeta when it is known exactly).
 Each family is written once, as two layers (a Sampler): a per-stream draw
 of the series' uniforms, and a shape step that turns a (k, width) block of
 drawn rows into k samples, running the elementwise work once per block.
-generate and the gen_* functions are the k = 1 case; a replicate study
-draws many streams and shapes them together, with the same bits per row.
+One table maps each family name to its params reader (ProcessSpec.from_json)
+and its Sampler builder (sampler).  generate is the k = 1 case; a replicate
+study draws many streams and shapes them together, with the same bits per
+row.
 
 Families:
 
@@ -42,12 +44,6 @@ __all__ = [
     "ProcessSpec",
     "GeneratedSeries",
     "Sampler",
-    "gen_gaussian_ma",
-    "gen_lognormal_ma",
-    "gen_cauchy_ratio",
-    "gen_copula_onedep",
-    "gen_pearson2",
-    "gen_iid_uniform",
     "generate",
     "sampler",
     "gaussian_ma_process",
@@ -98,22 +94,8 @@ class ProcessSpec:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"spec field 'params' must be an object, got {type(params).__name__}")
-        param = partial(_json_field, f"family {family!r} spec param", params)
-        if family == "gaussian_ma":
-            return gaussian_ma_process(param("theta", _is_vector, _VECTOR))
-        if family == "lognormal_ma":
-            return lognormal_ma_process(param("theta", _is_vector, _VECTOR))
-        if family == "cauchy_ratio":
-            return cauchy_ratio_process()
-        if family == "copula_onedep":
-            return copula_onedep_process(param("theta", _is_number, "a number"),
-                                         param("marginal", _is(str), "a string", "uniform"))
-        if family == "pearson2":
-            return pearson2_process(param("mu", _is_vector, _VECTOR), param("sigma", _is_matrix, _MATRIX),
-                                    param("m", _is(int), "an integer", None))
-        if family == "iid_uniform":
-            return iid_uniform_process(param("d", _is(int), "an integer", 1))
-        raise ValueError(f"unknown process family {family!r}")
+        read = _family(family)[0]
+        return read(partial(_json_field, f"family {family!r} spec param", params))
 
 
 _REQUIRED = object()
@@ -173,43 +155,47 @@ class GeneratedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _ma_sigma(theta: np.ndarray) -> float:
-    s = float(np.sqrt(np.sum(theta**2)))
-    if s == 0.0:
-        raise ValueError("moving-average weights must not be all zero")
-    return s
-
-
-def _check_theta(theta) -> np.ndarray:
+def _ma_spec(family: str, theta, functionals) -> ProcessSpec:
+    """A moving average's spec; functionals(sigma) gives (q2, q3) of its
+    marginal at sigma, the Euclidean norm of the weights theta."""
     arr = np.asarray(theta, dtype=np.float64).ravel()
     if arr.size < 1 or not np.all(np.isfinite(arr)):
         raise ValueError("theta must be a non-empty finite weight vector")
-    return arr
+    if not np.any(arr):
+        raise ValueError("moving-average weights must not be all zero")
+    with np.errstate(over="ignore", under="ignore"):
+        sig = float(np.sqrt(np.sum(arr**2)))
+    try:
+        q2, q3 = functionals(sig)
+        truth = ProcessTruth(q2=q2, h2=-math.log(q2), q3=q3, h3=-0.5 * math.log(q3))
+    except (OverflowError, ZeroDivisionError, ValueError):  # e.g. exp(900), 1 / 0, log(0)
+        truth = None
+    if truth is None or not all(map(math.isfinite, (truth.q2, truth.h2, truth.q3, truth.h3))):
+        raise ValueError(f"moving-average weights theta {arr.tolist()} are out of range: "
+                         f"their norm {sig!r} or the marginal's q2 or q3 overflows or underflows")
+    return ProcessSpec(family=family, params={"theta": arr.tolist()}, m=arr.size - 1, truth=truth)
 
 
 def gaussian_ma_process(theta) -> ProcessSpec:
-    arr = _check_theta(theta)
-    sig = _ma_sigma(arr)
-    q2 = 1.0 / (2.0 * sig * math.sqrt(math.pi))
-    q3 = 1.0 / (2.0 * math.pi * math.sqrt(3.0) * sig**2)
-    truth = ProcessTruth(q2=q2, h2=-math.log(q2), q3=q3, h3=-0.5 * math.log(q3))
-    return ProcessSpec(
-        family="gaussian_ma", params={"theta": arr.tolist()}, m=arr.size - 1, truth=truth
-    )
+    """Gaussian moving average X_t = sum_{k=0}^{m} theta_k Z_{t-k}.
+
+    Marginal N(0, sum theta_k^2); the sequence is len(theta)-1 dependent.
+    """
+    return _ma_spec("gaussian_ma", theta, lambda sig: (
+        1.0 / (2.0 * sig * math.sqrt(math.pi)),
+        1.0 / (2.0 * math.pi * math.sqrt(3.0) * sig**2)))
 
 
 def lognormal_ma_process(theta) -> ProcessSpec:
-    arr = _check_theta(theta)
-    sig = _ma_sigma(arr)
-    q2 = math.exp(sig**2 / 4.0) / (2.0 * sig * math.sqrt(math.pi))
-    q3 = math.exp(2.0 * sig**2 / 3.0) / (2.0 * math.pi * math.sqrt(3.0) * sig**2)
-    truth = ProcessTruth(q2=q2, h2=-math.log(q2), q3=q3, h3=-0.5 * math.log(q3))
-    return ProcessSpec(
-        family="lognormal_ma", params={"theta": arr.tolist()}, m=arr.size - 1, truth=truth
-    )
+    """exp of a Gaussian moving average; log-normal marginal."""
+    return _ma_spec("lognormal_ma", theta, lambda sig: (
+        math.exp(sig**2 / 4.0) / (2.0 * sig * math.sqrt(math.pi)),
+        math.exp(2.0 * sig**2 / 3.0) / (2.0 * math.pi * math.sqrt(3.0) * sig**2)))
 
 
 def cauchy_ratio_process() -> ProcessSpec:
+    """Ratio of consecutive Gaussians, X_t = Z_t / Z_{t+1}: standard Cauchy
+    marginal, 1-dependent."""
     q2 = 1.0 / (2.0 * math.pi)
     q3 = 3.0 / (8.0 * math.pi**2)
     truth = ProcessTruth(q2=q2, h2=-math.log(q2), q3=q3, h3=-0.5 * math.log(q3))
@@ -228,6 +214,7 @@ def lognormal_onedep_process() -> ProcessSpec:
 
 
 def iid_uniform_process(d: int = 1) -> ProcessSpec:
+    """Independent Uniform[0,1]^d rows (regime probes)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     truth = ProcessTruth(q2=1.0, h2=0.0, q3=1.0, h3=0.0, zeta=0.0)
@@ -235,6 +222,16 @@ def iid_uniform_process(d: int = 1) -> ProcessSpec:
 
 
 def pearson2_process(mu, sigma, m: int | None = None) -> ProcessSpec:
+    """m-dependent sequence with an elliptical Pearson type-II marginal.
+
+    A window of d+4 iid Gaussians maps to one observation:
+    X = mu + sqrt(d+4) L z_head / ||z_window||, with L the Cholesky factor of
+    sigma and z_head the first d coordinates.  Consecutive windows advance by
+    stride s = d+4-m, so neighbors share exactly m innovations; lags whose
+    windows no longer overlap are independent, making the sequence
+    floor((d+3)/s)-dependent (<= m, so m is a valid dependence bound).
+    Every observation satisfies (x-mu)' sigma^{-1} (x-mu) <= d+4.
+    """
     mu_arr = np.asarray(mu, dtype=np.float64).ravel()
     d = mu_arr.size
     sig_arr = np.asarray(sigma, dtype=np.float64)
@@ -261,6 +258,13 @@ def pearson2_process(mu, sigma, m: int | None = None) -> ProcessSpec:
 
 
 def copula_onedep_process(theta: float, marginal: str = "uniform") -> ProcessSpec:
+    """1-dependent sequence through a Clayton copula conditional inverse.
+
+    Y_t = F^{-1}(C^{-1}_{2|1}(U_{t+1} | U_t)) with iid uniforms U: each Y_t
+    is a function of (U_t, U_{t+1}) only, so the sequence is 1-dependent and
+    the marginal is exactly F, one of COPULA_MARGINALS (uniform, normal,
+    lognormal, pearson2).  theta = 0 degenerates to iid draws from F.
+    """
     theta = float(theta)
     if not 0.0 <= theta <= 100.0:
         raise ValueError(f"Clayton parameter must lie in [0, 100], got {theta}")
@@ -290,8 +294,8 @@ class Sampler:
     (normal_quantile, exp, the Clayton inverse, a named copula marginal) run
     once over the block.  Elementwise ufuncs give each value the same bits
     in a stack as alone, so row j of a block shapes exactly as that row
-    would alone; the moving-average filter, the pearson2 window algebra and
-    a caller's copula marginal still run per row.  shape(block) wraps the
+    would alone; the moving-average filter and the pearson2 window algebra
+    still run per row.  shape(block) wraps the
     arrays as validated SeriesSamples, and generate is shape with k = 1;
     the Monte Carlo studies take a block's arrays as one stack and check
     the whole stack at once (montecarlo._shaped).
@@ -323,9 +327,8 @@ def _require_n(n: int) -> int:
     return int(n)
 
 
-def _ma_sampler(theta, n: int, lognormal: bool) -> Sampler:
-    spec = (lognormal_ma_process if lognormal else gaussian_ma_process)(theta)
-    n = _require_n(n)
+def _ma_sampler(params: dict, n: int, lognormal: bool) -> Sampler:
+    spec = (lognormal_ma_process if lognormal else gaussian_ma_process)(params["theta"])
     weights = np.asarray(spec.params["theta"], dtype=np.float64)
 
     def transform(block):
@@ -336,22 +339,7 @@ def _ma_sampler(theta, n: int, lognormal: bool) -> Sampler:
     return Sampler(spec, 1, n + spec.m, True, transform)
 
 
-def gen_gaussian_ma(theta, n: int, rng: RngStream) -> GeneratedSeries:
-    """Gaussian moving average X_t = sum_{k=0}^{m} theta_k Z_{t-k}.
-
-    Marginal N(0, sum theta_k^2); the sequence is len(theta)-1 dependent.
-    """
-    return _ma_sampler(theta, n, lognormal=False).generate(rng)
-
-
-def gen_lognormal_ma(theta, n: int, rng: RngStream) -> GeneratedSeries:
-    """exp of a Gaussian moving average; log-normal marginal."""
-    return _ma_sampler(theta, n, lognormal=True).generate(rng)
-
-
-def _cauchy_sampler(n: int) -> Sampler:
-    n = _require_n(n)
-
+def _cauchy_sampler(params: dict, n: int) -> Sampler:
     def transform(block):
         z = normal_quantile(block)
         den = z[:, 1:]
@@ -360,11 +348,6 @@ def _cauchy_sampler(n: int) -> Sampler:
         return z[:, :n] / den
 
     return Sampler(cauchy_ratio_process(), 1, n + 1, True, transform)
-
-
-def gen_cauchy_ratio(n: int, rng: RngStream) -> GeneratedSeries:
-    """Ratio of consecutive Gaussians: standard Cauchy marginal, 1-dependent."""
-    return _cauchy_sampler(n).generate(rng)
 
 
 def _clayton_conditional_inverse(u: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
@@ -378,21 +361,6 @@ def _clayton_conditional_inverse(u: np.ndarray, v: np.ndarray, theta: float) -> 
     log_a = np.log(np.expm1(-theta / (1.0 + theta) * np.log(v))) - theta * np.log(u)
     log_arg = np.where(log_a > 700.0, log_a, np.log1p(np.exp(np.minimum(log_a, 700.0))))
     return np.exp(-log_arg / theta)
-
-
-COPULA_MARGINALS: dict[str, object] = {}
-
-
-def _marginal_uniform(u: np.ndarray) -> np.ndarray:
-    return u
-
-
-def _marginal_normal(u: np.ndarray) -> np.ndarray:
-    return normal_quantile(u)
-
-
-def _marginal_lognormal(u: np.ndarray) -> np.ndarray:
-    return np.exp(normal_quantile(u))
 
 
 def pearson2_quantile(p, mu: float = 0.0, scale: float = 1.0):
@@ -421,18 +389,12 @@ def pearson2_quantile(p, mu: float = 0.0, scale: float = 1.0):
     return out
 
 
-def _marginal_pearson2(u: np.ndarray) -> np.ndarray:
-    return pearson2_quantile(u)
-
-
-COPULA_MARGINALS.update(
-    {
-        "uniform": _marginal_uniform,
-        "normal": _marginal_normal,
-        "lognormal": _marginal_lognormal,
-        "pearson2": _marginal_pearson2,
-    }
-)
+COPULA_MARGINALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "uniform": lambda u: u,
+    "normal": normal_quantile,
+    "lognormal": lambda u: np.exp(normal_quantile(u)),
+    "pearson2": pearson2_quantile,
+}
 
 _COPULA_TRUTHS = {
     "uniform": ProcessTruth(q2=1.0, h2=0.0, zeta=0.0),
@@ -449,48 +411,18 @@ _COPULA_TRUTHS = {
 }
 
 
-def _copula_sampler(marginal_quantile, theta: float, n: int) -> Sampler:
-    n = _require_n(n)
-    named = isinstance(marginal_quantile, str)
-    if named:
-        spec = copula_onedep_process(theta, marginal_quantile)
-        quantile = COPULA_MARGINALS[marginal_quantile]
-    else:
-        spec = ProcessSpec(
-            family="copula_onedep",
-            params={"theta": float(theta), "marginal": "custom"},
-            m=1,
-            truth=ProcessTruth(),
-        )
-        quantile = marginal_quantile
-        if not 0.0 <= float(theta) <= 100.0:
-            raise ValueError(f"Clayton parameter must lie in [0, 100], got {theta}")
-    theta = float(theta)
+def _copula_sampler(params: dict, n: int) -> Sampler:
+    spec = copula_onedep_process(params["theta"], params["marginal"])
+    theta, quantile = spec.params["theta"], COPULA_MARGINALS[spec.params["marginal"]]
 
     def transform(block):
-        w = _clayton_conditional_inverse(block[:, :-1], block[:, 1:], theta)
-        # a caller's marginal sees one series at a time
-        return quantile(w) if named else [quantile(row) for row in w]
+        return quantile(_clayton_conditional_inverse(block[:, :-1], block[:, 1:], theta))
 
     return Sampler(spec, 1, n + 1, True, transform)
 
 
-def gen_copula_onedep(marginal_quantile, theta: float, n: int, rng: RngStream) -> GeneratedSeries:
-    """1-dependent sequence through a Clayton copula conditional inverse.
-
-    Y_t = F^{-1}(C^{-1}_{2|1}(U_{t+1} | U_t)) with iid uniforms U: each Y_t
-    is a function of (U_t, U_{t+1}) only, so the sequence is 1-dependent and
-    the marginal is exactly F.  theta = 0 degenerates to iid draws from F.
-
-    marginal_quantile may be a vectorized callable or one of the registered
-    marginal names (uniform, normal, lognormal, pearson2).
-    """
-    return _copula_sampler(marginal_quantile, theta, n).generate(rng)
-
-
-def _pearson2_sampler(mu, sigma, m: int | None, n: int) -> Sampler:
-    n = _require_n(n)
-    spec = pearson2_process(mu, sigma, m)
+def _pearson2_sampler(params: dict, n: int) -> Sampler:
+    spec = pearson2_process(params["mu"], params["sigma"], params["m"])
     mu_arr = np.asarray(spec.params["mu"], dtype=np.float64)
     d = mu_arr.size
     window = d + 4
@@ -510,49 +442,52 @@ def _pearson2_sampler(mu, sigma, m: int | None, n: int) -> Sampler:
     return Sampler(spec, d, (n - 1) * stride + window, True, transform)
 
 
-def gen_pearson2(mu, sigma, m: int | None, n: int, rng: RngStream) -> GeneratedSeries:
-    """m-dependent sequence with an elliptical Pearson type-II marginal.
-
-    A window of d+4 iid Gaussians maps to one observation:
-    X = mu + sqrt(d+4) L z_head / ||z_window||, with L the Cholesky factor of
-    sigma and z_head the first d coordinates.  Consecutive windows advance by
-    stride s = d+4-m, so neighbors share exactly m innovations; lags whose
-    windows no longer overlap are independent, making the sequence
-    floor((d+3)/s)-dependent (<= m, so m is a valid dependence bound).
-    Every observation satisfies (x-mu)' sigma^{-1} (x-mu) <= d+4.
-    """
-    return _pearson2_sampler(mu, sigma, m, n).generate(rng)
-
-
-def _uniform_sampler(d: int, n: int) -> Sampler:
-    n = _require_n(n)
-    spec = iid_uniform_process(d)
+def _uniform_sampler(params: dict, n: int) -> Sampler:
+    spec = iid_uniform_process(params["d"])
     d = spec.params["d"]
     return Sampler(spec, d, n * d, False, lambda block: block.reshape(-1, n, d))
 
 
-def gen_iid_uniform(d: int, n: int, rng: RngStream) -> GeneratedSeries:
-    return _uniform_sampler(d, n).generate(rng)
+# family name -> (its params reader in ProcessSpec.from_json, its Sampler
+# builder at a checked length n)
+_FAMILIES = {
+    "gaussian_ma": (
+        lambda param: gaussian_ma_process(param("theta", _is_vector, _VECTOR)),
+        partial(_ma_sampler, lognormal=False)),
+    "lognormal_ma": (
+        lambda param: lognormal_ma_process(param("theta", _is_vector, _VECTOR)),
+        partial(_ma_sampler, lognormal=True)),
+    "cauchy_ratio": (lambda param: cauchy_ratio_process(), _cauchy_sampler),
+    "copula_onedep": (
+        lambda param: copula_onedep_process(param("theta", _is_number, "a number"),
+                                            param("marginal", _is(str), "a string", "uniform")),
+        _copula_sampler),
+    "pearson2": (
+        lambda param: pearson2_process(param("mu", _is_vector, _VECTOR),
+                                       param("sigma", _is_matrix, _MATRIX),
+                                       param("m", _is(int), "an integer", None)),
+        _pearson2_sampler),
+    "iid_uniform": (
+        lambda param: iid_uniform_process(param("d", _is(int), "an integer", 1)),
+        _uniform_sampler),
+}
+
+
+def _family(name):
+    entry = _FAMILIES.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ValueError(f"unknown process family {name!r}")
+    return entry
 
 
 def sampler(spec: ProcessSpec, n: int) -> Sampler:
     """The draw and shape layers of a declarative spec at length n.
 
-    Dispatches on the family name and rebuilds the spec from its params, so
-    the parameters are checked once here, not once per stream.
+    Looks the family up in one table and rebuilds the spec from its params,
+    so the parameters are checked once here, not once per stream.
     """
-    fam, params = spec.family, spec.params
-    if fam in ("gaussian_ma", "lognormal_ma"):
-        return _ma_sampler(params["theta"], n, lognormal=fam == "lognormal_ma")
-    if fam == "cauchy_ratio":
-        return _cauchy_sampler(n)
-    if fam == "copula_onedep":
-        return _copula_sampler(params["marginal"], params["theta"], n)
-    if fam == "pearson2":
-        return _pearson2_sampler(params["mu"], params["sigma"], params["m"], n)
-    if fam == "iid_uniform":
-        return _uniform_sampler(params["d"], n)
-    raise ValueError(f"unknown process family {fam!r}")
+    build = _family(spec.family)[1]
+    return build(spec.params, _require_n(n))
 
 
 def generate(spec: ProcessSpec, n: int, rng: RngStream) -> GeneratedSeries:

@@ -588,6 +588,41 @@ def test_covariance_determinant_that_underflows_is_a_clean_failure(tmp_path, cap
                    "the covariance determinant underflows\n")
 
 
+def _child_env():
+    """The environment of a child that imports the same epsentropy as this test."""
+    import_root = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["generate", "--family", "gaussian_ma", "--params", '{"theta": [1e308, 1e308]}'],
+     "theta [1e+308, 1e+308]"),  # the norm overflows
+    (["generate", "--family", "lognormal_ma", "--params", '{"theta": [60]}'],
+     "theta [60.0]"),  # exp(sigma^2 / 4) overflows
+    (["generate", "--family", "gaussian_ma", "--params", '{"theta": [1e-200]}'],
+     "theta [1e-200]"),  # the norm underflows to 0
+    (["simulate", "--plan", "PLAN"], "theta [60.0]"),
+    (["gof", "--input", "CSV", "--eps", "1"], "sample covariance overflows in dimension 1"),
+])
+def test_spec_or_covariance_out_of_float_range_is_one_error_line(tmp_path, argv, names):
+    # a child process, so that a numpy warning would show on its stderr
+    plan = str(tmp_path / "plan.json")
+    with open(plan, "w") as fh:
+        json.dump(dict(_GOOD_PLAN, spec={"family": "lognormal_ma", "params": {"theta": [60]}}), fh)
+    csv = str(tmp_path / "sample.csv")
+    write_sample_csv(SeriesSample([[v] for v in (0.0, 1e300, 2e300) for _ in range(3)]), csv)
+    argv = [{"PLAN": plan, "CSV": csv}.get(arg, arg) for arg in argv]
+    if argv[0] == "generate":
+        argv += ["--n", "10", "--output", str(tmp_path / "gen.csv")]
+    proc = subprocess.run([sys.executable, "-m", "epsentropy.cli", *argv], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert names in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "gen.csv").exists()
+
+
 def _strict(token):
     raise ValueError(f"non-standard JSON token {token}")
 
@@ -640,9 +675,7 @@ def test_console_script_is_installed():
     # that imports the same epsentropy as this test.
     module, func = scripts["epsentropy"].split(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    import_root = str(Path(cli.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env = _child_env()
     commands = [[sys.executable, "-c", wrapper, "--help"]]
     installed = shutil.which("epsentropy")
     if installed is not None:

@@ -9,7 +9,7 @@ from helpers import gaussian_pdf, pearson2_d1_pdf, quad_power_integral
 
 from epsentropy.core import RngStream, SeriesSample
 from epsentropy.gof import GofResult, gof_statistic, k_d, sample_covariance
-from epsentropy.processes import gen_gaussian_ma, generate, pearson2_process
+from epsentropy.processes import gaussian_ma_process, generate, pearson2_process
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,20 @@ def test_sample_covariance_matches_numpy():
     assert np.allclose(cov, np.cov(pts.T, ddof=1), atol=1e-14)
     with pytest.raises(ValueError):
         sample_covariance(SeriesSample([[1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("points", [
+    [[v] for v in (0.0, 1e300, 2e300) for _ in range(3)],  # the product overflows
+    [[1.7e308], [1.7e308], [1.6e308]],  # the mean's sum overflows
+    [[0.0, 1.0], [1e200, -1.0], [2e200, 0.5]],  # one column's square overflows
+])
+def test_covariance_that_overflows_is_an_error(points):
+    sample = SeriesSample(points)
+    message = f"sample covariance overflows in dimension {sample.d}"
+    with pytest.raises(ValueError, match=message):
+        sample_covariance(sample)
+    with pytest.raises(ValueError, match=message):
+        gof_statistic(sample, eps=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +136,7 @@ def test_gaussian_alternative_ratio():
     q2 = quad_power_integral(gaussian_pdf(1.0), -12, 12, 2)
     target = 1.0 / (q2 * k_d(1))
     assert target == pytest.approx(0.9512, abs=5e-5)
-    x = gen_gaussian_ma([1.0], 8000, RngStream(92, 0)).sample
+    x = generate(gaussian_ma_process([1.0]), 8000, RngStream(92, 0)).sample
     r = gof_statistic(x, eps=0.05)
     assert r.ratio == pytest.approx(target, abs=0.02)
     assert r.ratio < 1.0

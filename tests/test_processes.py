@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,15 +21,9 @@ from epsentropy.core import RngStream, normal_quantile
 from epsentropy.processes import (
     COPULA_MARGINALS,
     ProcessSpec,
-    ProcessTruth,
     cauchy_ratio_process,
     copula_onedep_process,
     gaussian_ma_process,
-    gen_cauchy_ratio,
-    gen_copula_onedep,
-    gen_gaussian_ma,
-    gen_iid_uniform,
-    gen_pearson2,
     generate,
     iid_uniform_process,
     lognormal_ma_process,
@@ -101,14 +96,14 @@ def _lag_corr(x, h):
 
 
 def test_ma2_lag_correlations():
-    x = gen_gaussian_ma([1, 1, 1], 120_000, RngStream(70, 0)).sample.points[:, 0]
+    x = generate(gaussian_ma_process([1, 1, 1]), 120_000, RngStream(70, 0)).sample.points[:, 0]
     assert _lag_corr(x, 1) == pytest.approx(2.0 / 3.0, abs=0.01)
     assert _lag_corr(x, 2) == pytest.approx(1.0 / 3.0, abs=0.01)
     assert abs(_lag_corr(x, 3)) < 0.01  # independent beyond the window
 
 
 def test_copula_chain_is_one_dependent():
-    g = gen_copula_onedep("uniform", 8.0, 120_000, RngStream(71, 0))
+    g = generate(copula_onedep_process(8.0, "uniform"), 120_000, RngStream(71, 0))
     x = g.sample.points[:, 0]
     assert _lag_corr(x, 1) > 0.2
     assert abs(_lag_corr(x, 2)) < 0.01
@@ -116,7 +111,7 @@ def test_copula_chain_is_one_dependent():
 
 
 def test_copula_theta_zero_gives_independence():
-    x = gen_copula_onedep("uniform", 0.0, 120_000, RngStream(72, 0)).sample.points[:, 0]
+    x = generate(copula_onedep_process(0.0), 120_000, RngStream(72, 0)).sample.points[:, 0]
     assert abs(_lag_corr(x, 1)) < 0.01
 
 
@@ -125,7 +120,7 @@ def test_copula_theta_zero_gives_independence():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_ma_marginal():
-    x = gen_gaussian_ma([0.6, 0.8], 20_000, RngStream(73, 0)).sample.points[:, 0]
+    x = generate(gaussian_ma_process([0.6, 0.8]), 20_000, RngStream(73, 0)).sample.points[:, 0]
     assert st.kstest(x, st.norm(scale=1.0).cdf).pvalue > 0.01
 
 
@@ -137,14 +132,15 @@ def test_lognormal_marginal():
 
 
 def test_cauchy_marginal():
-    x = gen_cauchy_ratio(20_000, RngStream(75, 0)).sample.points[:, 0]
+    x = generate(cauchy_ratio_process(), 20_000, RngStream(75, 0)).sample.points[:, 0]
     assert np.all(np.isfinite(x))
     assert st.kstest(x, st.cauchy.cdf).pvalue > 0.01
 
 
 @pytest.mark.parametrize("marginal", sorted(COPULA_MARGINALS))
 def test_copula_marginal_exact(marginal):
-    x = gen_copula_onedep(marginal, 3.0, 20_000, RngStream(76, 0)).sample.points[:, 0]
+    spec = copula_onedep_process(3.0, marginal)
+    x = generate(spec, 20_000, RngStream(76, 0)).sample.points[:, 0]
     cdfs = {
         "uniform": st.uniform.cdf,
         "normal": st.norm.cdf,
@@ -159,7 +155,7 @@ def test_copula_marginal_exact(marginal):
 def test_pearson2_support_and_moments():
     mu = np.array([1.0, -2.0])
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-    g = gen_pearson2(mu, sigma, None, 40_000, RngStream(77, 0))
+    g = generate(pearson2_process(mu, sigma), 40_000, RngStream(77, 0))
     pts = g.sample.points
     centered = pts - mu
     quad = np.einsum("ij,jk,ik->i", centered, np.linalg.inv(sigma), centered)
@@ -169,7 +165,7 @@ def test_pearson2_support_and_moments():
 
 
 def test_pearson2_marginal_d1():
-    x = gen_pearson2([0.0], [[1.0]], None, 20_000, RngStream(78, 0)).sample.points[:, 0]
+    x = generate(pearson2_process([0.0], [[1.0]]), 20_000, RngStream(78, 0)).sample.points[:, 0]
     root5 = math.sqrt(5.0)
     cdf = lambda v: 0.5 + 3.0 / (4.0 * root5) * (v - v**3 / 15.0)
     assert np.max(np.abs(x)) <= root5
@@ -177,7 +173,7 @@ def test_pearson2_marginal_d1():
 
 
 def test_iid_uniform_shape_and_law():
-    g = gen_iid_uniform(3, 5_000, RngStream(79, 0))
+    g = generate(iid_uniform_process(3), 5_000, RngStream(79, 0))
     assert g.sample.d == 3 and g.sample.n == 5_000
     assert st.kstest(g.sample.points.ravel(), st.uniform.cdf).pvalue > 0.01
 
@@ -297,7 +293,7 @@ def test_generate_dispatch_and_determinism():
 @pytest.mark.parametrize("n", [0, -3, 2.5, True])
 def test_generate_rejects_bad_length(n):
     with pytest.raises(ValueError):
-        gen_iid_uniform(1, n, RngStream(81, 0))
+        generate(iid_uniform_process(1), n, RngStream(81, 0))
 
 
 def test_process_parameter_validation():
@@ -319,11 +315,29 @@ def test_process_parameter_validation():
         iid_uniform_process(0)
 
 
-def test_custom_copula_marginal_callable():
-    g = gen_copula_onedep(lambda u: 2.0 * u, 1.0, 500, RngStream(82, 0))
-    assert g.spec.params["marginal"] == "custom"
-    assert g.spec.truth == ProcessTruth()
-    assert np.all((g.sample.points >= 0) & (g.sample.points <= 2))
+@pytest.mark.parametrize("make,theta", [
+    (gaussian_ma_process, [1e308, 1e308]),  # the norm overflows
+    (gaussian_ma_process, [1e-200]),  # the norm underflows to 0
+    (gaussian_ma_process, [1e154]),  # q3 underflows to 0
+    (gaussian_ma_process, [1e-160]),  # q3 overflows
+    (lognormal_ma_process, [60.0]),  # exp(sigma^2 / 4) overflows
+    (lognormal_ma_process, [1e-200, 0.0]),
+])
+def test_ma_functionals_out_of_float_range_name_theta(make, theta):
+    message = rf"^moving-average weights theta {re.escape(str(theta))} are out of range: "
+    with pytest.raises(ValueError, match=message):
+        make(theta)
+    family = make([1.0]).family
+    with pytest.raises(ValueError, match=message):
+        ProcessSpec.from_json({"family": family, "params": {"theta": theta}})
+
+
+@pytest.mark.parametrize("theta", [[1e150], [1e-150], [3e-155, 4e-155], [0.0, 1e-100]])
+def test_ma_functionals_near_the_float_range_are_kept(theta):
+    spec = gaussian_ma_process(theta)
+    sig = float(np.sqrt(np.sum(np.asarray(theta) ** 2)))
+    assert spec.truth.q2 == 1.0 / (2.0 * sig * math.sqrt(math.pi))
+    assert all(map(math.isfinite, (spec.truth.q2, spec.truth.h2, spec.truth.q3, spec.truth.h3)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +405,11 @@ def test_normal_innovations_are_quantiles_of_the_stream():
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_generated_bits_are_pinned(name):
-    points = generate(FAMILIES[name], 257, RngStream(5, 0)).sample.points
-    assert hashlib.sha256(points.tobytes()).hexdigest() == PINNED[name]
+    # the spec as built, and as a plan or the CLI reads it through the family table
+    spec = FAMILIES[name]
+    for given_spec in (spec, ProcessSpec.from_json(spec.to_json())):
+        points = generate(given_spec, 257, RngStream(5, 0)).sample.points
+        assert hashlib.sha256(points.tobytes()).hexdigest() == PINNED[name]
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
@@ -422,13 +439,3 @@ def test_stacks_across_the_value_budget_match_one_stream_at_a_time(name):
     assert [x.tobytes() for x in shaped] == [
         _bits(generate(spec, n, RngStream(17, i)).sample) for i in range(7)]
 
-
-def test_custom_copula_marginal_sees_one_series():
-    shapes = []
-
-    def marginal(u):
-        shapes.append(u.shape)
-        return u
-
-    gen_copula_onedep(marginal, 1.0, 40, RngStream(83, 0))
-    assert shapes == [(40,)]
