@@ -10,7 +10,7 @@ s2 to zero and the residual raises rather than returning garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,15 +70,7 @@ class DiscreteReport:
     s2_hat: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "r": self.r,
-            "qn": self.qn,
-            "h2_hat": self.h2_hat,
-            "u3_hat": list(self.u3_hat),
-            "s2_hat": self.s2_hat,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"u3_hat": list(self.u3_hat)}
 
 
 def _u3_count(codes: np.ndarray, freq: np.ndarray, n: int, h: int) -> int:

@@ -22,16 +22,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import SeriesSample, ball_volume, checked_q2, unit_ball_volume
 from .paircount import _counts, _exact_min_sq
+# the d >= 2 lag probes and per-lag triple counts, under the names of the steps they replaced
 from .paircount import (  # noqa: F401  (unused; perfbench/spans.py wraps them)
-    _adjacency_masks,
-    _uh_count_from_masks,
+    _lag_triples as _uh_count_from_masks,
+    _probe_hits as _adjacency_masks,
     close_pairs,
     count_close_pairs,
 )
@@ -94,23 +95,7 @@ class EstimateReport:
     u_hat: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "eps": self.eps,
-            "eps0": self.eps0,
-            "r": self.r,
-            "n_pairs_close": self.n_pairs_close,
-            "min_distance": self.min_distance,
-            "qn_raw": self.qn_raw,
-            "q2_hat": self.q2_hat,
-            "h2_hat": self.h2_hat,
-            "u3_hat": list(self.u3_hat),
-            "h3_hat": self.h3_hat,
-            "zeta_hat": self.zeta_hat,
-            "w_hat": self.w_hat,
-            "u_hat": self.u_hat,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"u3_hat": list(self.u3_hat)}
 
 
 class ResidualKind(str, enum.Enum):

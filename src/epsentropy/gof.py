@@ -17,7 +17,7 @@ support the ratio is still reported and simply loses its calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,19 +42,7 @@ class GofResult:
     h2_clamped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "eps": self.eps,
-            "statistic": self.statistic,
-            "k_d": self.k_d,
-            "ratio": self.ratio,
-            "h2_hat": self.h2_hat,
-            "det_sigma": self.det_sigma,
-            "delta": self.delta,
-            "reject": self.reject,
-            "h2_clamped": self.h2_clamped,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def sample_covariance(sample: SeriesSample) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,10 @@ confirms it, and bisection on the test finds the rest.
   filtered in blocks of at most _BLOCK entries, written into a few block
   buffers allocated once per pass, so memory stays O(n d) however many
   pairs are close.  The sorted columns are padded with NaN, so the test
-  sum <= eps^2 needs no window mask.  Lagged triples come from sorted
-  directed edge keys.
+  sum <= eps^2 needs no window mask.  Lagged triples need the degrees,
+  adj_i = [i+h in N(i)] and sum_i |N(i) & N(i+h)|: each hit (c, a) within
+  eps0, in both directions, probes whether c is within eps0 of a+h by the
+  same rounded test, _HITS hits at a time, so memory stays O(n d + _HITS).
 * column subsets (count_subset_pairs): the same holds for any one column
   of a subset, since the rounded sum is never below any of its terms.  The
   subsets that share their smallest column are counted in one window pass
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,6 +71,11 @@ _BLOCK = 1 << 14
 # of 8 bytes a value, which at 2^15 values stay within a 2 MiB L2 cache;
 # 2^16 values counted 100 samples of n = 500 about 20% slower on a 2-vCPU Xeon
 _STACK_VALUES = 1 << 15
+# hits within eps0 that a d >= 2 window pass hands on at a time to the lag
+# probes (_probe_hits): 2^13 hits are 2^14 directed probes, about eight
+# arrays of 128 KiB within a 2 MiB L2 cache; on a 2-D MA(2) report (n = 20000,
+# eps 0.2, r = 4) a 2-vCPU Xeon took 0.29 s at 2^13 or 2^14, 0.41 s at 2^16
+_HITS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -170,31 +178,35 @@ def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns
         start = stop
 
 
-def _window_scan(pts: np.ndarray, eps_sq: float, pairs_sq: float | None = None):
-    """One column-0 window pass over an (n, d) array at radius max(eps_sq, pairs_sq).
+def _window_scan(pts: np.ndarray, eps_sq: float, hits_sq: float | None = None, take=None):
+    """One column-0 window pass over an (n, d) array at radius max(eps_sq, hits_sq).
 
-    Returns the pairs within eps, the smallest squared distance over the
+    Returns the pairs within eps and the smallest squared distance over the
     window entries (actual pairs, holding every pair within the radius, so
-    the global minimum whenever it is at most the radius) and, given
-    pairs_sq, the pairs (i, j), i < j, within it as index arrays (else None).
+    the global minimum whenever it is at most the radius).  Given hits_sq,
+    the pairs within it go to take(i, j) as point index arrays, at least
+    _HITS at a time (the rest at the end), with no fixed order or
+    orientation; nothing else is held, so memory is O(n d + _HITS).
     """
     count = 0
     min_sq = math.inf
-    i_parts = [np.empty(0, dtype=np.int64)]
-    j_parts = [np.empty(0, dtype=np.int64)]
-    order, width = _pivot_windows(pts, 0, max(eps_sq, pairs_sq or 0.0))
+    held, size = [], 0
+    order, width = _pivot_windows(pts, 0, max(eps_sq, hits_sq or 0.0))
     columns = range(pts.shape[1])
     for start, square, (out, scratch), hits in _window_pairs(pts, order, width, columns, 2):
         sq = _sq_sum(square, columns, out, scratch)
         count += int(np.count_nonzero(np.less_equal(sq, eps_sq, out=hits)))
         min_sq = min(min_sq, float(np.fmin.reduce(sq, axis=None)))
-        if pairs_sq is not None:
-            r, s = np.nonzero(np.less_equal(sq, pairs_sq, out=hits))
-            i_arr, j_arr = order[start + r], order[start + r + s + 1]
-            i_parts.append(np.minimum(i_arr, j_arr))
-            j_parts.append(np.maximum(i_arr, j_arr))
-    pairs = None if pairs_sq is None else (np.concatenate(i_parts), np.concatenate(j_parts))
-    return count, min_sq, pairs
+        if hits_sq is not None:
+            r, s = np.nonzero(np.less_equal(sq, hits_sq, out=hits))
+            held.append((order[start + r], order[start + r + s + 1]))
+            size += r.shape[0]
+        if size >= _HITS:
+            take(*map(np.concatenate, zip(*held)))
+            held, size = [], 0
+    if held:
+        take(*map(np.concatenate, zip(*held)))
+    return count, min_sq
 
 
 def _prefix_plan(subsets: list[tuple[int, ...]]):
@@ -472,37 +484,53 @@ def close_pairs(sample: SeriesSample, eps: float) -> tuple[np.ndarray, np.ndarra
     eps = _checked_eps(eps)
     if sample.n < 2:
         raise ValueError("pair counting needs at least two observations")
-    return _window_scan(sample.points, eps * eps, eps * eps)[2]
+    parts = [(np.empty(0, dtype=np.int64),) * 2]
+    _window_scan(sample.points, eps * eps, eps * eps, lambda i, j: parts.append((i, j)))
+    i_arr, j_arr = map(np.concatenate, zip(*parts))
+    return np.minimum(i_arr, j_arr), np.maximum(i_arr, j_arr)
 
 
-def _adjacency_masks(n: int, i_arr: np.ndarray, j_arr: np.ndarray):
-    """Sorted directed edge keys row*n + col of the pairs (both directions),
-    and the degrees.  The name predates this form (per-index bitmasks).
+def _probe_hits(pts: np.ndarray, cols: np.ndarray, eps0_sq: float, lags, deg: np.ndarray,
+                overlap: list, i: np.ndarray, j: np.ndarray) -> None:
+    """Add hits (i[t], j[t]) within eps0 of an (n, d) sample pts to its
+    degrees deg and, per lag h = lags[k], to overlap[k]; cols (d, n) holds
+    its columns with NaN at n-1.  As a is in N(c) iff c is in N(a),
+    sum_{a <= n-h-2} |N(a) & N(a+h)| counts the directed hits (c, a) whose c
+    is within eps0 of a+h <= n-2, a+h != c.  Each probes that by the test
+    that defines a hit, fl(x_{a+h} - x_c) squared (as fl(x_c - x_{a+h}) is)
+    and added column by column from the left.  A probe past n-2 reads NaN
+    and fails; a+h == c passes once per adj_a = 1, which _lag_triples takes off.
     """
-    keys = np.sort(np.concatenate((i_arr * n + j_arr, j_arr * n + i_arr)))
-    deg = np.bincount(i_arr, minlength=n) + np.bincount(j_arr, minlength=n)
-    return keys, deg
+    c = np.concatenate((i, j))
+    a = np.concatenate((j, i))
+    deg += np.bincount(c, minlength=deg.shape[0])
+    x_c = np.take(pts.T, c, axis=1)
+    out, scratch = np.empty(c.shape[0]), np.empty(c.shape[0])
+    for k, h in enumerate(lags):
+        if h:
+            def square(col, buf, h=h):
+                np.take(cols[col, h:], a, out=buf, mode="clip")
+                return np.square(np.subtract(buf, x_c[col], out=buf), out=buf)
+
+            overlap[k] += int(np.count_nonzero(_sq_sum(square, range(len(cols)), out, scratch) <= eps0_sq))
 
 
-def _uh_count_from_masks(adjacency: tuple[np.ndarray, np.ndarray], n: int, h: int) -> int:
-    """Lagged-triple count at lag h from _adjacency_masks; exact integers.
-
-    adj_i is [(i, i+h) is an edge].  As c in N(i) iff i in N(c), the overlap
-    sum_{i <= n-h-2} |N(i) & N(i+h)| counts the column pairs (i, i+h) inside
-    each sorted row, h or fewer slots apart; a key difference of h across
-    rows needs a column >= n-h, which the filter drops.  The name predates
-    this form (per-index bitmasks).
-    """
-    keys, deg = adjacency
-    if h == 0:
-        return _lagged_triples(deg, 0, None, 0, np.empty_like(deg))
-    m = n - h - 1
-    row, col = np.divmod(keys, n)
-    adj = np.bincount(row[col - row == h], minlength=n)
-    early = col < m
-    overlap = sum(int(np.count_nonzero((keys[s:] - keys[:-s] == h) & early[:-s]))
-                  for s in range(1, h + 1))
-    return _lagged_triples(deg, h, adj, overlap, np.empty_like(deg))
+def _lag_triples(cols: np.ndarray, eps0_sq: float, lags, deg: np.ndarray, overlap: list) -> list[int]:
+    """Lagged-triple counts per lag from the degrees and probe counts of
+    _probe_hits; adj_i, whether x_{i+h} is within eps0 of x_i, takes the
+    same test on the same cols, whose NaN at n-1 no anchor reads."""
+    d, n = cols.shape
+    adj = np.empty(n, dtype=np.int64)
+    terms = np.empty(n, dtype=np.int64)
+    counts = []
+    for h, probed in zip(lags, overlap):
+        if h:
+            sq = _sq_sum(lambda c, buf: np.square(np.subtract(cols[c, :-h], cols[c, h:], out=buf), out=buf),
+                         range(d), np.empty(n - h), np.empty(n - h))
+            np.less_equal(sq, eps0_sq, out=adj[: n - h])
+            probed -= int(adj[: n - h].sum())
+        counts.append(_lagged_triples(deg, h, adj, probed, terms))
+    return counts
 
 
 def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
@@ -528,9 +556,10 @@ def _counts(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, flo
     The caller checks eps, eps0, n >= 2 and 0 <= h <= n - 4.  A 1-D stack
     is counted by _counts_1d, whose minimum is exact.  A d >= 2 sample
     takes one window pass (_window_scan) at the larger radius, or at eps
-    with no lags, and with lags the pairs within eps0 it keeps give the
-    edge keys of every lag.  Its minimum is exact when it is within the
-    pass radius; a caller that reports it completes it with _exact_min_sq,
+    with no lags.  With lags, the pass hands its hits within eps0 to the
+    probes of every lag (_probe_hits) and keeps none, so memory is O(n d)
+    plus the hit buffer.  Its minimum is exact when it is within the pass
+    radius; a caller that reports it completes it with _exact_min_sq,
     which a study, not reading it, never pays.
     """
     n, d = x.shape[1:]
@@ -538,11 +567,13 @@ def _counts(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, flo
         return _counts_1d(x[:, :, 0], eps, eps0, lags)
     out = []
     for pts in x:
-        count, min_sq, pairs = _window_scan(pts, eps * eps, eps0 * eps0 if lags else None)
-        if pairs is not None:
-            adjacency = _adjacency_masks(n, *pairs)
-            del pairs  # before the lags, which hold the keys
-        out.append((count, min_sq, [_uh_count_from_masks(adjacency, n, h) for h in lags]))
+        cols = pts.T.copy()
+        cols[:, -1] = np.nan
+        deg = np.zeros(n, dtype=np.int64)
+        overlap = [0] * len(lags)
+        probe = partial(_probe_hits, pts, cols, eps0 * eps0, lags, deg, overlap)
+        count, min_sq = _window_scan(pts, eps * eps, eps0 * eps0 if lags else None, probe)
+        out.append((count, min_sq, _lag_triples(cols, eps0 * eps0, lags, deg, overlap)))
     return out
 
 

@@ -246,8 +246,11 @@ def pearson2_process(mu, sigma, m: int | None = None) -> ProcessSpec:
     m = int(m)
     if not 1 <= m <= d + 3:
         raise ValueError(f"dependence parameter m must be in [1, {d + 3}], got {m}")
-    det_root = float(np.prod(np.diagonal(chol)))
-    q2 = 1.0 / (k_d(d) * det_root)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        q2 = float(1.0 / (k_d(d) * np.prod(np.diagonal(chol))))
+    if not 0.0 < q2 < math.inf:
+        raise ValueError(f"pearson2 sigma {sig_arr.tolist()} is out of range: the marginal's "
+                         "q2 = 1 / (k_d(d) det(sigma)^(1/2)) overflows or underflows")
     truth = ProcessTruth(q2=q2, h2=-math.log(q2))
     return ProcessSpec(
         family="pearson2",

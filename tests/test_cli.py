@@ -623,6 +623,22 @@ def test_spec_or_covariance_out_of_float_range_is_one_error_line(tmp_path, argv,
     assert not (tmp_path / "gen.csv").exists()
 
 
+@pytest.mark.parametrize("scale", [1e250, 1e-250])
+def test_pearson2_sigma_out_of_float_range_is_one_error_line(tmp_path, scale):
+    # the root of the determinant overflows to inf or underflows to 0, so
+    # q2 = 1 / (k_d(d) det(sigma)^(1/2)) would be 0 or 1 / 0
+    sigma = (np.eye(3) * scale).tolist()
+    out = tmp_path / "gen.csv"
+    argv = ["generate", "--family", "pearson2", "--params", json.dumps({"mu": [0, 0, 0], "sigma": sigma}),
+            "--n", "10", "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "epsentropy.cli", *argv], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: pearson2 sigma {sigma} is out of range: the marginal's "
+                           "q2 = 1 / (k_d(d) det(sigma)^(1/2)) overflows or underflows\n")
+    assert not out.exists()
+
+
 def _strict(token):
     raise ValueError(f"non-standard JSON token {token}")
 

@@ -16,7 +16,7 @@ from helpers import (
 )
 
 from epsentropy import paircount
-from epsentropy.core import RngStream, SeriesSample
+from epsentropy.core import RngStream, SeriesSample, ball_volume
 from epsentropy.estimators import EstimateConfig, estimate_report, triple_normalizer
 from epsentropy.montecarlo import SimulationPlan, run_residual_study
 from epsentropy.paircount import (
@@ -205,9 +205,11 @@ def test_min_distance_alternating_clusters(monkeypatch):
 
 def test_peak_memory_is_bounded():
     # every pair of the 2-D sample is within eps, and the 8-D minimum needs
-    # a wide sweep; neither may hold the candidate pairs all at once
+    # a wide sweep; neither may hold the candidate pairs all at once, and a
+    # 2-D report with lags, every pair within eps0, may not hold its 2e6 hits
     wide = _sample(71, 3000, 2)
     high = _sample(72, 1500, 8)
+    lagged = _sample(79, 2000, 2)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -216,10 +218,15 @@ def test_peak_memory_is_bounded():
         tracemalloc.reset_peak()
         min_interpoint_distance(high)
         min_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rep = estimate_report(lagged, EstimateConfig(eps=0.5, eps0=100.0, r=2))
+        report_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count_peak < 32 * 2**20
     assert min_peak < 32 * 2**20
+    assert report_peak < 32 * 2**20
+    assert rep.u3_hat == pytest.approx([1.0 / ball_volume(2, 100.0) ** 2] * 3)
 
 
 def test_min_distance_reported_even_without_close_pairs():
@@ -293,13 +300,8 @@ def test_uh_count_matches_enumeration_dense_in_index(d, h):
 
 
 def test_uh_count_ignores_key_gaps_across_rows():
-    # edge (1, n-1) sits directly before (2, 0) in key order: the keys differ
-    # by h = 1 across two rows, which is no shared neighbour
     pts = [(0.0, 0.0), (10.0, 0.0), (0.1, 0.0), (20.0, 0.0), (30.0, 0.0), (10.1, 0.0)]
     s = SeriesSample(pts)
-    i_arr, j_arr = close_pairs(s, 0.2)
-    keys, _ = paircount._adjacency_masks(6, i_arr, j_arr)
-    assert keys.tolist() == [2, 11, 12, 31]
     for h in range(3):
         assert count_uh_triples(s, h, 0.2) == brute_uh_count(pts, h, 0.2)
 
@@ -480,6 +482,35 @@ def test_counts_nd_without_close_pairs_complete_the_minimum(case):
     assert (res.n_pairs_close, res.min_distance) == (0, brute_min_distance(pts))
     rep = estimate_report(s, EstimateConfig(eps=eps, eps0=eps0, r=1))
     assert (rep.n_pairs_close, rep.min_distance) == (0, brute_min_distance(pts))
+
+
+@st.composite
+def _lattice_lags(draw):
+    """(pts, eps, eps0): n = 10-16 rows of a 2^-2 grid in R^d, d = 2-4, a
+    few duplicated; eps0 on the grid, so pairs sit exactly eps0 apart, and
+    eps half or twice eps0."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(10, 16))
+    ticks = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+    pts = np.array(ticks, dtype=np.float64).reshape(n, d) * 0.25
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        pts[a] = pts[b]
+    eps0 = draw(st.integers(1, 6)) * 0.25
+    return pts, draw(st.sampled_from([eps0 * 0.5, eps0 * 2.0])), eps0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_lattice_lags())
+def test_nd_lags_match_brute_counts_at_every_flush_size(case):
+    # the lag probes take the hits one at a time, a few at a time or all at once
+    pts, eps, eps0 = case
+    lags = range(7)
+    want = [brute_uh_count(pts, h, eps0) for h in lags]
+    for hits in (1, 5, paircount._HITS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paircount, "_HITS", hits)
+            [(n_close, _, counts)] = paircount._counts(pts[None], eps, eps0, lags)
+        assert (n_close, counts) == (brute_pair_count(pts, eps), want)
 
 
 def test_one_window_pass_per_nd_sample(monkeypatch):
