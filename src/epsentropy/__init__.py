@@ -19,6 +19,26 @@ docstrings for the division of labor:
 
 The package itself re-exports nothing: import from the submodules, e.g.
 ``from epsentropy.estimators import EstimateConfig, estimate_report``.
+Importing the package loads no submodule.  ``epsentropy.<module>`` resolves
+lazily: the first access imports that submodule, so a caller that imported
+only ``epsentropy`` (or ``epsentropy.cli``) can still reach
+``epsentropy.montecarlo``.  Where no bytecode cache is written
+(``PYTHONDONTWRITEBYTECODE``), each process compiles every module it imports
+from source, so a process should import only the modules it runs.
 """
 
+import importlib
+
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset({
+    "asymptotics", "cli", "core", "discrete", "epskeys", "estimators", "gof",
+    "montecarlo", "paircount", "processes",
+})
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for a name the package does not have yet
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,14 @@ a result file is self-describing and replayable.  Output is deterministic:
 identical inputs and seed give byte-identical JSON.
 
 Exit codes: 0 success, 2 argument errors (argparse), 1 data or numeric
-errors, each reported as a single `error: ...` line on stderr.
+errors (a refused allocation too), each reported as a single `error: ...`
+line on stderr.
+
+Each subcommand imports only the modules it runs.  This module imports the
+estimate path (core, paircount, estimators, asymptotics) at the top; every
+other handler imports its own modules when it is called.  Where no bytecode
+cache is written, a process compiles each imported module from source, and
+for a one-shot `estimate` that set-up costs more than the counting.
 """
 
 from __future__ import annotations
@@ -17,13 +24,8 @@ import json
 import sys
 
 from .asymptotics import exp_pivot_ci, normal_ci
-from .core import RngStream, read_sample_csv, read_symbol_csv, write_sample_csv
-from .discrete import DiscreteSample, discrete_report, discrete_residual
-from .epskeys import all_subsets, rank_candidates
+from .core import DEFAULT_SEED, RngStream, read_sample_csv, read_symbol_csv, write_sample_csv
 from .estimators import EstimateConfig, estimate_report
-from .gof import gof_statistic
-from .montecarlo import DEFAULT_SEED, SimulationPlan, run_residual_study, write_residuals_csv
-from .processes import ProcessSpec, generate
 
 __all__ = ["main", "build_parser"]
 
@@ -64,6 +66,8 @@ def _cmd_estimate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
+    from .montecarlo import SimulationPlan, run_residual_study, write_residuals_csv
+
     with open(args.plan) as fh:
         plan_doc = json.load(fh)
     if args.seed is not None and isinstance(plan_doc, dict):
@@ -80,6 +84,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_gof(args: argparse.Namespace) -> dict:
+    from .gof import gof_statistic
+
     sample = read_sample_csv(args.input)
     result = gof_statistic(sample, eps=args.eps, delta=args.delta)
     return {
@@ -89,6 +95,8 @@ def _cmd_gof(args: argparse.Namespace) -> dict:
 
 
 def _cmd_keys(args: argparse.Namespace) -> dict:
+    from .epskeys import all_subsets, rank_candidates
+
     table = read_sample_csv(args.input)
     if (args.size is None) == (args.subsets is None):
         raise ValueError("pass exactly one of --size or --subsets")
@@ -115,6 +123,8 @@ def _cmd_keys(args: argparse.Namespace) -> dict:
 
 
 def _cmd_generate(args: argparse.Namespace) -> dict:
+    from .processes import ProcessSpec, generate
+
     if (args.spec is None) == (args.family is None):
         raise ValueError("pass exactly one of --spec or --family")
     if args.spec is not None:
@@ -134,6 +144,8 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_discrete(args: argparse.Namespace) -> dict:
+    from .discrete import DiscreteSample, discrete_report, discrete_residual
+
     sample = DiscreteSample(read_symbol_csv(args.input))
     report = discrete_report(sample, args.r)
     doc = {
@@ -224,7 +236,7 @@ def main(argv=None) -> int:
     try:
         doc = args.handler(args)
         _emit(doc, args.json_out)
-    except (ValueError, OSError, RuntimeError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError, json.JSONDecodeError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

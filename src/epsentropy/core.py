@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_SEED",
     "MAX_DIM",
     "SeriesSample",
     "RngStream",
@@ -300,6 +301,9 @@ def normal_cdf(x):
 # ---------------------------------------------------------------------------
 # random streams
 # ---------------------------------------------------------------------------
+
+# the seed of `epsentropy generate` and of a simulation plan that names none
+DEFAULT_SEED = 20260215
 
 
 @dataclass(frozen=True)

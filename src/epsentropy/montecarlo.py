@@ -31,7 +31,7 @@ import numpy as np
 
 from . import paircount
 from .asymptotics import PoissonApprox
-from .core import RngStream, ball_volume, normal_cdf, unit_ball_volume
+from .core import DEFAULT_SEED, RngStream, ball_volume, normal_cdf, unit_ball_volume
 from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
 from .estimators import (
     EstimateConfig,
@@ -57,8 +57,6 @@ __all__ = [
     "standardize_batch",
     "write_residuals_csv",
 ]
-
-DEFAULT_SEED = 20260215
 
 
 @dataclass(frozen=True)

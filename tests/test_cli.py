@@ -1,5 +1,6 @@
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import epsentropy
 from epsentropy import cli
 from epsentropy.asymptotics import exp_pivot_ci, normal_ci
 from epsentropy.core import RngStream, SeriesSample, read_sample_csv, write_sample_csv
@@ -463,8 +465,8 @@ def test_discrete_truth_counts_the_sample_once(symbols_csv, capsys, monkeypatch,
         calls.append(args)
         return discrete_report(*args)
 
-    # both names, so a residual that built its own report is counted too
-    monkeypatch.setattr(cli, "discrete_report", counted)
+    # the handler reads this name at call time, and so would a residual that
+    # built its own report
     monkeypatch.setattr("epsentropy.discrete.discrete_report", counted)
     assert cli.main(["discrete", "--input", symbols_csv[0], "--r", "1",
                      "--truth", "0.25", "--kind", kind]) == 0
@@ -637,6 +639,85 @@ def test_pearson2_sigma_out_of_float_range_is_one_error_line(tmp_path, scale):
     assert proc.stderr == (f"error: pearson2 sigma {sigma} is out of range: the marginal's "
                            "q2 = 1 / (k_d(d) det(sigma)^(1/2)) overflows or underflows\n")
     assert not out.exists()
+
+
+def test_refused_allocation_is_one_error_line(tmp_path):
+    # 2^45 rows need 256 TiB, more than the x86-64 user address space, so the
+    # allocation is refused under any overcommit mode and nothing is allocated
+    out = tmp_path / "gen.csv"
+    argv = ["generate", "--family", "gaussian_ma", "--params", '{"theta": [1]}',
+            "--n", str(2**45), "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "epsentropy.cli", *argv], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+_CHILD_PRELUDE = """import json, sys
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("epsentropy."))
+"""
+
+
+def _child_json(tmp_path, code):
+    """Run code in a fresh interpreter; return its last stdout line as JSON."""
+    proc = subprocess.run([sys.executable, "-c", _CHILD_PRELUDE + code], capture_output=True,
+                          text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("subcommand,added", [
+    ("estimate", []),
+    ("simulate", ["gof", "montecarlo", "processes"]),
+    ("gof", ["gof"]),
+    ("keys", ["epskeys"]),
+    ("generate", ["gof", "processes"]),
+    ("discrete", ["discrete"]),
+])
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, sample_csv, table_csv, symbols_csv,
+                                                   subcommand, added):
+    # a fresh interpreter, since this process has long imported every module
+    out = str(tmp_path / "out.json")
+    argv = {
+        "estimate": ["--input", sample_csv[0], "--eps", "0.1", "--r", "2", "--ci", "neps",
+                     "--exp-pivot", "--output", out],
+        "simulate": ["--plan", _plan_file(tmp_path)[0], "--output", out],
+        "gof": ["--input", sample_csv[0], "--eps", "0.25", "--output", out],
+        "keys": ["--input", table_csv[0], "--eps", "1.0", "--size", "2", "--output", out],
+        "generate": ["--family", "iid_uniform", "--n", "30", "--output", str(tmp_path / "g.csv")],
+        "discrete": ["--input", symbols_csv[0], "--r", "1", "--truth", "0.3", "--kind", "h",
+                     "--output", out],
+    }[subcommand]
+    before, code, after = _child_json(tmp_path, f"""
+import epsentropy.cli
+before = loaded()
+code = epsentropy.cli.main({[subcommand, *argv]!r})
+print(json.dumps([before, code, loaded()]))
+""")
+    cli_path = ["asymptotics", "cli", "core", "estimators", "paircount"]
+    assert before == cli_path
+    assert code == 0
+    assert after == sorted(cli_path + added)
+
+
+def test_package_reaches_each_submodule_on_first_access(tmp_path):
+    names = sorted(m.name for m in pkgutil.iter_modules(epsentropy.__path__))
+    before, reached, missing = _child_json(tmp_path, f"""
+import epsentropy
+before = loaded()
+reached = [getattr(epsentropy, name).__name__ for name in {names!r}]
+try:
+    epsentropy.nope
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([before, reached, missing]))
+""")
+    assert before == []
+    assert reached == [f"epsentropy.{name}" for name in names]
+    assert missing == "module 'epsentropy' has no attribute 'nope'"
 
 
 def _strict(token):
