@@ -14,7 +14,9 @@ amount of closed-form special-function machinery the estimators need:
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -25,6 +27,8 @@ __all__ = [
     "MAX_DIM",
     "SeriesSample",
     "RngStream",
+    "stream_words",
+    "stream_generator",
     "ball_volume",
     "checked_q2",
     "checked_columns",
@@ -305,16 +309,159 @@ def normal_cdf(x):
 # the seed of `epsentropy generate` and of a simulation plan that names none
 DEFAULT_SEED = 20260215
 
+# numpy's SeedSequence constants (pool of four 32-bit words), frozen by its
+# stream-compatibility policy (NEP 19)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(h: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of `steps` hash steps from the running constant h, as
+    uint32 arrays: step t xors in h mult^t, then multiplies by h mult^(t+1).
+    They depend on the step count alone, never on the values hashed."""
+    xor, mul = [], []
+    for _ in range(steps):
+        xor.append(h)
+        h = h * mult & _M32
+        mul.append(h)
+    return np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32)
+
+
+# the eight steps of generate_state(4, np.uint64), one per 32-bit output word
+_OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool and running hash constant after it has mixed in
+    seed, the entropy every spawn key of the seed shares.
+
+    A spawn key pads the seed's 32-bit words (low word first) with zeros to
+    the pool size, so the pool takes only seed words, and each key word is
+    mixed in after them.
+    """
+    words = []
+    while seed:
+        words.append(seed & _M32)
+        seed >>= 32
+    words += [0] * (4 - len(words))
+    h = _INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        return v ^ (v >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool, h
+
+
+def _n_words(i: int) -> int:
+    """Length of i's SeedSequence entropy: its 32-bit words, 0 taking one."""
+    return max(1, -(-i.bit_length() // 32))
+
+
+def _by_length(ids: list[int]):
+    """(n_words, positions, ids) per length of ids in 32-bit words."""
+    if max(ids, default=0) <= _M32:
+        return [(1, slice(None), ids)]
+    lengths = [_n_words(i) for i in ids]
+    groups = []
+    for n_words in set(lengths):
+        at = [k for k, length in enumerate(lengths) if length == n_words]
+        groups.append((n_words, at, [ids[k] for k in at]))
+    return groups
+
+
+def stream_words(seed: int, ids) -> np.ndarray:
+    """The PCG64 seed words of streams ids of seed, shape (len(ids), 4) uint64.
+
+    Row k holds SeedSequence(seed, spawn_key=(ids[k],)).generate_state(4,
+    np.uint64) bit for bit.  The seed is mixed once, with Python ints; the
+    spawn-key round and the output hash run as uint32 arithmetic over all
+    ids at once, one group per id length in 32-bit words.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError("seed must be an integer")
+    ids = [operator.index(i) for i in ids]
+    if seed < 0 or min(ids, default=0) < 0:
+        raise ValueError("seed and stream_id must be nonnegative")
+    pool, h = _seed_pool(int(seed))
+    # spawn word j is hashed once per pool word d, at step 4j + d of every key
+    xor, mul = (a.reshape(-1, 4) for a in _hash_constants(h, _MULT_A, 4 * _n_words(max(ids, default=0))))
+    out = np.empty((len(ids), 4), dtype=np.uint64)
+    for n_words, at, group in _by_length(ids):
+        mixer = np.array(pool, dtype=np.uint32)
+        for j in range(n_words):
+            word = np.array([i >> 32 * j & _M32 for i in group], dtype=np.uint32)
+            v = word[:, None] ^ xor[j]
+            v *= mul[j]
+            v ^= v >> 16
+            mixer = mixer * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
+            mixer ^= mixer >> 16
+        state = np.concatenate((mixer, mixer), axis=1)
+        state ^= _OUT_XOR
+        state *= _OUT_MUL
+        state ^= state >> 16
+        # word pairs read as little-endian uint64, as generate_state reads them
+        out[at] = state.astype("<u4", copy=False).view("<u8")
+    return out
+
+
+@functools.cache
+def _seed_words_class():
+    """The seed sequence that hands one row of stream_words to PCG64.
+
+    Defined on first use, so that importing this module does not import
+    numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("stream words seed only PCG64")
+            return self.words
+
+    return SeedWords
+
+
+def stream_generator(words: np.ndarray) -> np.random.Generator:
+    """A Generator at the start of the PCG64 stream seeded by one row of
+    stream_words."""
+    return np.random.Generator(np.random.PCG64(_seed_words_class()(words)))
+
 
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream addressed by (seed, stream_id).
 
     Identical (seed, stream_id) pairs reproduce identical draws across runs;
-    distinct stream_ids index statistically independent streams (PCG64 seeded
-    through SeedSequence spawn keys).  Streams are single-owner values: give
-    each replicate its own ``RngStream(seed, i)`` rather than sharing one
-    generator.
+    distinct stream_ids index statistically independent streams.  The bits
+    are those of numpy's PCG64 seeded by SeedSequence(seed,
+    spawn_key=(stream_id,)); the seed words come from stream_words, which
+    seeds a whole stack of streams in one pass.  Streams are single-owner
+    values: give each replicate its own ``RngStream(seed, i)`` rather than
+    sharing one generator.
     """
 
     seed: int
@@ -330,8 +477,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(ss))
+        return stream_generator(stream_words(self.seed, (self.stream_id,))[0])
 
 
 def worker_count(n_tasks: int) -> int:

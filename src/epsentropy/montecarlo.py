@@ -3,11 +3,12 @@
 A study is a plan (process, sample size, estimation config, residual kind,
 base seed) executed over independent replicates.  Replicate i always draws
 from stream i of the base seed, so a single replicate can be re-run in
-isolation.  A study is one stream of stacks: the replicates' uniforms are
-drawn one stream after another, in index order, on the calling thread
-(processes.Sampler.draw); each time the drawn rows hold
-paircount._STACK_VALUES values, or the last replicate is drawn, they are
-shaped as one stack (Sampler.transform, so normal_quantile and the other
+isolation.  A study is one sequence of stacks, in index order, on the
+calling thread.  Each stack holds paircount._STACK_VALUES drawn values, or
+the last replicates.  Its streams are seeded in one pass and drawn into one
+block (processes.Sampler.draw_block); the bits are those of numpy's PCG64
+seeded by SeedSequence(base_seed, spawn_key=(i,)).  The block is then shaped
+as one stack (Sampler.transform, so normal_quantile and the other
 elementwise work run once per stack), checked finite, counted by
 paircount._counts (a 1-D stack in one pass, a d >= 2 replicate in one
 window pass) and dropped.  A study keeps only the counts, so its memory is
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import paircount
 from .asymptotics import PoissonApprox
-from .core import DEFAULT_SEED, RngStream, ball_volume, normal_cdf, unit_ball_volume
+from .core import DEFAULT_SEED, ball_volume, normal_cdf, unit_ball_volume
 from .core import worker_count  # noqa: F401  (unused; perfbench/worker.py wraps it)
 from .estimators import (
     EstimateConfig,
@@ -236,17 +237,37 @@ class _NamedFailure(RuntimeError):
     """A replicate failure whose message names its replicate already."""
 
 
-def _replicate_map(n_sim: int, base_seed: int, task) -> list:
-    """[task(i, stream_i) for i in 0..n_sim-1], run in index order."""
-    results = []
-    for i in range(n_sim):
+def _replicate_map(n_sim: int, per_stack: int, task) -> None:
+    """task(first, stop) for each stack of replicates first..stop-1, at most
+    per_stack of them, in index order.  A failure that names no replicate
+    is named for the stack's last one."""
+    for first in range(0, n_sim, per_stack):
+        stop = min(n_sim, first + per_stack)
         try:
-            results.append(task(i, RngStream(base_seed, i)))
+            task(first, stop)
         except _NamedFailure:
             raise
         except Exception as exc:
-            raise RuntimeError(f"replicate {i}: {exc}") from exc
-    return results
+            raise RuntimeError(f"replicate {stop - 1}: {exc}") from exc
+
+
+def _drawn(gen: Sampler, base_seed: int, first: int, stop: int) -> np.ndarray:
+    """The (k, width) block of replicates first..stop-1, drawn from their
+    streams in one pass (Sampler.draw_block).
+
+    When that fails, the rows are drawn one by one, which names the lowest
+    replicate whose draw fails.
+    """
+    try:
+        return gen.draw_block(base_seed, range(first, stop))
+    except Exception:
+        rows = []
+        for i in range(first, stop):
+            try:
+                rows.append(gen.draw_block(base_seed, (i,)))
+            except Exception as exc:
+                raise _NamedFailure(f"replicate {i}: {exc}") from exc
+        return np.concatenate(rows)
 
 
 def _shaped(gen: Sampler, n: int, block: np.ndarray, first: int) -> np.ndarray:
@@ -278,24 +299,18 @@ def _shaped(gen: Sampler, n: int, block: np.ndarray, first: int) -> np.ndarray:
 def _counted(gen: Sampler, n: int, n_sim: int, base_seed: int, count) -> list:
     """count(x) of every stack x of shaped replicates, concatenated in index order.
 
-    Replicate i's row is drawn from stream i.  The task that draws the last
-    row of a stack (paircount._STACK_VALUES drawn values, at least one row,
-    or the last replicate) shapes the stack (_shaped), counts it and drops
-    it, so only one stack of samples is held at a time and count keeps only
-    what it returns.
+    Replicate i's row is drawn from stream i.  A stack holds
+    paircount._STACK_VALUES drawn values (at least one row), or the rest of
+    the replicates; it is drawn in one pass (_drawn), shaped (_shaped),
+    counted and dropped, so only one stack of samples is held at a time and
+    count keeps only what it returns.
     """
-    per_stack = max(1, paircount._STACK_VALUES // gen.width)
-    rows: list[np.ndarray] = []
     counts: list = []
 
-    def task(i: int, stream: RngStream) -> None:
-        rows.append(gen.draw(stream))
-        if len(rows) == per_stack or i == n_sim - 1:
-            x = _shaped(gen, n, np.stack(rows), i + 1 - len(rows))
-            rows.clear()
-            counts.extend(count(x))
+    def task(first: int, stop: int) -> None:
+        counts.extend(count(_shaped(gen, n, _drawn(gen, base_seed, first, stop), first)))
 
-    _replicate_map(n_sim, base_seed, task)
+    _replicate_map(n_sim, max(1, paircount._STACK_VALUES // gen.width), task)
     return counts
 
 
@@ -303,9 +318,9 @@ def run_residual_study(plan: SimulationPlan) -> SimulationOutcome:
     """Simulate n_sim residuals under the plan and KS-test them against N(0,1).
 
     The config is checked once, as replicate 0's report would check it.
-    The replicates are then drawn one stream at a time, in index order,
-    and each stack of them is shaped and counted as soon as it is drawn
-    (_counted), so a study holds one stack of samples and the counts.  The
+    The replicates are then drawn a stack at a time, in index order, and
+    each stack is shaped and counted as soon as it is drawn (_counted), so
+    a study holds one stack of samples and the counts.  The
     estimates and residuals come from the counts as arrays.
 
     A failure names its replicate.  Stacks run in index order, so a failure

@@ -6,8 +6,8 @@ closed form, carries the population values of the estimated functionals
 (q2 = integral p^2, h2 = -log q2, q3 = integral p^3, h3 = -(1/2) log q3,
 and the long-run density variance zeta when it is known exactly).
 
-Each family is written once, as two layers (a Sampler): a per-stream draw
-of the series' uniforms, and a shape step that turns a (k, width) block of
+Each family is written once, as two layers (a Sampler): a draw of the
+series' uniforms from a block of streams seeded in one pass, and a shape step that turns a (k, width) block of
 drawn rows into k samples, running the elementwise work once per block.
 One table maps each family name to its params reader (ProcessSpec.from_json)
 and its Sampler builder (sampler).  generate is the k = 1 case; a replicate
@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import RngStream, SeriesSample, normal_quantile
+from .core import RngStream, SeriesSample, normal_quantile, stream_generator, stream_words
 from .gof import k_d
 
 __all__ = [
@@ -288,9 +288,10 @@ def copula_onedep_process(theta: float, marginal: str = "uniform") -> ProcessSpe
 class Sampler:
     """One family at one series length, split into two layers.
 
-    draw(rng) is the per-stream step: the `width` uniforms one series
-    consumes, with the grid point 0.0 nudged to 2^-54 where a normal
-    quantile or a log follows.  Normals come from the quantile of uniforms,
+    draw_block(seed, ids) is the draw step: per stream, the `width`
+    uniforms one series consumes, with the grid point 0.0 nudged to 2^-54
+    where a normal quantile or a log follows; draw(rng) is its one-stream
+    case.  Normals come from the quantile of uniforms,
     with no rejection step, so a stream maps to the same values on every
     platform.  transform(block) is the stack step: a (k, width) block of
     drawn rows becomes the arrays of k samples, with the elementwise work
@@ -310,11 +311,22 @@ class Sampler:
     nudge: bool
     transform: Callable[[np.ndarray], Iterable[np.ndarray]]
 
-    def draw(self, rng: RngStream) -> np.ndarray:
-        u = rng.generator().random(self.width)
+    def draw_block(self, seed: int, ids) -> np.ndarray:
+        """The (k, width) block of the uniforms of streams ids of seed.
+
+        The streams are seeded in one pass (stream_words), and each row is
+        filled in place from its own PCG64 stream; the 0.0 nudge then runs
+        once over the block.
+        """
+        block = np.empty((len(ids), self.width))
+        for words, row in zip(stream_words(seed, ids), block):
+            stream_generator(words).random(out=row)
         if self.nudge:
-            u[u == 0.0] = 2.0**-54
-        return u
+            block[block == 0.0] = 2.0**-54
+        return block
+
+    def draw(self, rng: RngStream) -> np.ndarray:
+        return self.draw_block(rng.seed, (rng.stream_id,))[0]
 
     def shape(self, block: np.ndarray) -> list[SeriesSample]:
         return [SeriesSample(points) for points in self.transform(block)]

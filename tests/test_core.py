@@ -12,6 +12,7 @@ from helpers import mask_normal_quantile
 
 from epsentropy.core import (
     MAX_DIM,
+    DEFAULT_SEED,
     RngStream,
     SeriesSample,
     ball_volume,
@@ -19,6 +20,7 @@ from epsentropy.core import (
     normal_quantile,
     read_sample_csv,
     read_symbol_csv,
+    stream_words,
     unit_ball_volume,
     worker_count,
     write_sample_csv,
@@ -254,6 +256,39 @@ def test_rng_streams_distinct():
 def test_rng_stream_validation(seed, sid):
     with pytest.raises(ValueError):
         RngStream(seed, sid)
+
+
+# numpy's SeedSequence is the oracle of the seed words: one- and multi-word
+# seeds and spawn keys, at the edges of a 32-bit word
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3, DEFAULT_SEED]
+STREAM_IDS = [0, 1, 63, 64, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
+def _oracle_words(seed, stream_id):
+    return np.random.SeedSequence(seed, spawn_key=(stream_id,)).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_words_are_the_seed_sequence_words(seed):
+    want = np.array([_oracle_words(seed, i) for i in STREAM_IDS])
+    # all ids at once (two word-length groups), and each id alone
+    assert np.array_equal(stream_words(seed, STREAM_IDS), want)
+    for i, row in zip(STREAM_IDS, want):
+        assert np.array_equal(stream_words(seed, [i]), row[None])
+    assert stream_words(seed, []).shape == (0, 4)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rng_stream_is_the_seed_sequence_stream(seed):
+    for i in STREAM_IDS:
+        oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+        assert np.array_equal(RngStream(seed, i).generator().random(1000), oracle.random(1000))
+
+
+@pytest.mark.parametrize("seed,ids", [(-1, [0]), (0, [-2]), (1.5, [0]), (True, [0]), (0, [0.5])])
+def test_stream_words_validation(seed, ids):
+    with pytest.raises((ValueError, TypeError)):
+        stream_words(seed, ids)
 
 
 # ---------------------------------------------------------------------------

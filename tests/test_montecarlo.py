@@ -228,14 +228,14 @@ def test_study_residuals_match_the_scalar_formulas(kind):
 
 
 def test_generation_failure_names_its_replicate(monkeypatch):
-    draw = Sampler.draw
+    draw_block = Sampler.draw_block
 
-    def failing(self, stream):
-        if stream.stream_id == 3:
+    def failing(self, seed, ids):
+        if 3 in ids:
             raise ValueError("generator broke")
-        return draw(self, stream)
+        return draw_block(self, seed, ids)
 
-    monkeypatch.setattr(Sampler, "draw", failing)
+    monkeypatch.setattr(Sampler, "draw_block", failing)
     with pytest.raises(RuntimeError, match="^replicate 3: generator broke$"):
         run_residual_study(_plan())
     with pytest.raises(RuntimeError, match="^replicate 3: generator broke$"):
@@ -321,14 +321,14 @@ def _poison(monkeypatch, base_seed, replicates):
 
 
 def _failing_draw(monkeypatch, replicate):
-    draw = Sampler.draw
+    draw_block = Sampler.draw_block
 
-    def failing(self, stream):
-        if stream.stream_id == replicate:
+    def failing(self, seed, ids):
+        if replicate in ids:
             raise ValueError("generator broke")
-        return draw(self, stream)
+        return draw_block(self, seed, ids)
 
-    monkeypatch.setattr(Sampler, "draw", failing)
+    monkeypatch.setattr(Sampler, "draw_block", failing)
 
 
 def test_non_finite_first_row_of_a_later_stack_is_named(monkeypatch):

@@ -16,7 +16,7 @@ from helpers import (
     quad_power_integral,
 )
 
-from epsentropy import montecarlo, paircount
+from epsentropy import montecarlo, paircount, processes
 from epsentropy.core import RngStream, normal_quantile
 from epsentropy.processes import (
     COPULA_MARGINALS,
@@ -401,6 +401,33 @@ def test_normal_innovations_are_quantiles_of_the_stream():
     z = gen.shape(a[None])[0].points[:, 0]
     assert np.array_equal(z, normal_quantile(a))
     assert abs(z.mean()) < 0.06 and abs(z.std() - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("name", ["gaussian_ma_2", "iid_uniform_2"])
+def test_a_block_of_streams_is_its_streams_drawn_one_by_one(name):
+    # one vectorized seeding pass per block gives each row its own stream's
+    # bits; ids past 2^32 take a two-word spawn key
+    gen = sampler(FAMILIES[name], 300)
+    ids = [0, 1, 2, 7, 64, 2**32 - 1, 2**32, 2**40 + 3]
+    block = gen.draw_block(21, ids)
+    assert block.shape == (len(ids), gen.width)
+    for i, row in zip(ids, block):
+        alone = gen.draw(RngStream(21, i))
+        assert np.array_equal(row, alone)
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21, spawn_key=(i,))))
+        assert np.array_equal(row, want.random(gen.width))
+
+
+def test_the_nudge_runs_over_the_whole_block(monkeypatch):
+    # streams whose every other uniform is the grid point 0.0
+    class HalfZeros:
+        def random(self, out):
+            out[0::2], out[1::2] = 0.0, 0.5
+
+    monkeypatch.setattr(processes, "stream_generator", lambda words: HalfZeros())
+    # nudged to 2^-54 in every row where a quantile follows; left as drawn otherwise
+    assert np.unique(sampler(FAMILIES["gaussian_ma_2"], 9).draw_block(5, range(3))).tolist() == [2.0**-54, 0.5]
+    assert np.unique(sampler(FAMILIES["iid_uniform_2"], 9).draw_block(5, range(3))).tolist() == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
