@@ -18,9 +18,9 @@ confirms it, and bisection on the test finds the rest.
 * d >= 2: the windows hold every pair within eps, because a rounded sum of
   nonnegative squares is never below its first term.  The full squared
   distances of the window pairs, added column by column from the left, are
-  filtered in blocks of at most _BLOCK entries, written into a few block
-  buffers allocated once per pass, so memory stays O(n d) however many
-  pairs are close.  The sorted columns are padded with NaN, so the test
+  filtered in blocks, written into the few block buffers a pass allocates
+  once, which hold at most 8 _BLOCK floats together, so memory stays
+  O(n d) however many pairs are close.  The sorted columns are padded with NaN, so the test
   sum <= eps^2 needs no window mask.  Lagged triples need the degrees,
   adj_i = [i+h in N(i)] and sum_i |N(i) & N(i+h)|: each hit (c, a) within
   eps0, in both directions, probes whether c is within eps0 of a+h by the
@@ -61,10 +61,16 @@ __all__ = [
     "min_interpoint_distance",
 ]
 
-# entries per window block: a pass holds a few float block buffers of 8 bytes
-# an entry (the shared columns' squares, the kept prefix sums, a running sum
-# and a scratch column: eight for a pivot of keys_3d_grid), which at 2^14
-# entries, 128 KiB each, stay within a 2 MiB L2 cache
+# entries per block buffer of a window pass that holds eight (the shared
+# columns' squares, the kept prefix sums, a running sum and a scratch column
+# of a keys_3d_grid pivot): 8 bytes an entry, 128 KiB each at 2^14, 1 MiB
+# together, within a 2 MiB L2 cache.  A pass of b buffers shares that budget:
+# 8 _BLOCK / b entries a buffer, rounded down to a power of two, up to
+# 2 _BLOCK.  So a lone sum (two buffers) takes blocks of 2^15 and pays the
+# per-block Python overhead half as often, and a keys_3d_grid pivot of six to
+# eight buffers keeps 2^14.  At 2^16 a lone sum gained a few percent more on
+# a 2-D count, and a 64-column count would hold 0.5 MiB more beside its
+# O(n d) columns.
 _BLOCK = 1 << 14
 # values per stack of replicates given to one _counts call by a Monte Carlo
 # study (montecarlo._counted): a 1-D lag reads and writes about eight arrays
@@ -146,7 +152,8 @@ def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns
     terms, and the pivot's term is the exact 1-D test of the windows.  A
     minimum over a block must skip the NaN (np.fmin); the real pairs past a
     window cannot lower it below the minimum over all pairs.  Each block
-    holds at most _BLOCK entries, unless one row's window alone is wider.
+    holds at most 8 _BLOCK / n_buffers entries, as a power of two up to
+    2 _BLOCK (at least one), unless one row's window alone is wider.
     """
     n = order.shape[0]
     w_max = int(width.max())
@@ -156,14 +163,16 @@ def _window_pairs(pts: np.ndarray, order: np.ndarray, width: np.ndarray, columns
     pad = np.full(w_max, np.nan)
     cols = {c: np.concatenate((pts[order, c], pad)) for c in columns}
     windows = {c: sliding_window_view(col, w_max + 1) for c, col in cols.items()}
-    size = min(n * w_max, max(_BLOCK, w_max))
+    share = max(1, 8 * _BLOCK // n_buffers)
+    block = min(2 * _BLOCK, 1 << (share.bit_length() - 1))
+    size = min(n * w_max, max(block, w_max))
     flat = [np.empty(size) for _ in range(n_buffers)]
     flat_hits = np.empty(size, dtype=bool)
     start = 0
     while start < n:
-        stop = min(n, start + max(1, _BLOCK // max(1, int(width[start]))))
+        stop = min(n, start + max(1, block // max(1, int(width[start]))))
         w = int(width[start:stop].max())
-        stop = min(stop, start + max(1, _BLOCK // max(1, w)))
+        stop = min(stop, start + max(1, block // max(1, w)))
         w = int(width[start:stop].max())
         if w:
             rows = slice(start, stop)
