@@ -39,7 +39,6 @@ __all__ = [
     "read_sample_csv",
     "write_sample_csv",
     "read_symbol_csv",
-    "write_symbol_csv",
 ]
 
 MAX_DIM = 64
@@ -626,13 +625,3 @@ def read_symbol_csv(path: str) -> np.ndarray:
     Same CSV grammar as read_sample_csv.
     """
     return _read_table(path, np.int64, _check_symbol_row)
-
-
-def write_symbol_csv(symbols: np.ndarray, path: str) -> None:
-    arr = np.asarray(symbols)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in arr:
-            writer.writerow([int(v) for v in row])

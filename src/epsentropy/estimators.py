@@ -42,7 +42,6 @@ __all__ = [
     "EstimateReport",
     "ResidualKind",
     "estimate_report",
-    "residual",
     "residual_from_report",
     "suggest_eps",
     "triple_normalizer",
@@ -258,10 +257,6 @@ def residual_from_report(report: EstimateReport, truth: float, kind: ResidualKin
     _checked_scale(scale)
     return _residual(kind, float(truth), report.n, report.eps, report.d, report.q2_hat,
                      report.h2_hat, scale)
-
-
-def residual(sample: SeriesSample, config: EstimateConfig, truth: float, kind: ResidualKind) -> float:
-    return residual_from_report(estimate_report(sample, config), truth, kind)
 
 
 def suggest_eps(sample: SeriesSample, alpha: float) -> float:

@@ -55,7 +55,6 @@ __all__ = [
     "ks_test",
     "probe_poisson_regime",
     "probe_moments",
-    "standardize_batch",
     "write_residuals_csv",
 ]
 
@@ -465,22 +464,6 @@ def probe_moments(
     counts, mean_asym, var_asym = _count_study(spec, n, eps, n_sim, base_seed, q2, zeta_truth)
     arr = np.asarray(counts, dtype=np.float64)
     return float(arr.mean() / mean_asym), float(arr.var(ddof=1) / var_asym)
-
-
-def standardize_batch(values) -> np.ndarray:
-    """Center and scale by the batch's own moments (crossover-regime probe).
-
-    The exact standardization constants of the count are not estimable in
-    the crossover regime, so the batch is standardized empirically before a
-    normality check.
-    """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size < 2:
-        raise ValueError("need at least two values to standardize")
-    sd = arr.std(ddof=1)
-    if sd == 0.0:
-        raise ValueError("degenerate batch: zero variance")
-    return (arr - arr.mean()) / sd
 
 
 def write_residuals_csv(residuals, path: str) -> None:

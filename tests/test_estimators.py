@@ -11,7 +11,6 @@ from epsentropy.estimators import (
     EstimateReport,
     ResidualKind,
     estimate_report,
-    residual,
     residual_from_report,
     suggest_eps,
     triple_normalizer,
@@ -272,8 +271,8 @@ def test_residual_formulas():
     assert residual_from_report(rep, truth_h, ResidualKind.H_NEPS) == pytest.approx(
         rate * rep.q2_hat * (rep.h2_hat - truth_h) / rep.u_hat, rel=1e-14
     )
-    # one-call form and string kinds
-    assert residual(s, cfg, truth_q, "q_sqrtn") == residual_from_report(
+    # string kinds
+    assert residual_from_report(rep, truth_q, "q_sqrtn") == residual_from_report(
         rep, truth_q, ResidualKind.Q_SQRTN
     )
 

@@ -23,7 +23,6 @@ from epsentropy.montecarlo import (
     probe_moments,
     probe_poisson_regime,
     run_residual_study,
-    standardize_batch,
     write_residuals_csv,
 )
 from epsentropy.processes import (
@@ -456,16 +455,6 @@ def test_moment_probe_needs_zeta():
 # ---------------------------------------------------------------------------
 # batch utilities
 # ---------------------------------------------------------------------------
-
-def test_standardize_batch():
-    z = standardize_batch([1.0, 2.0, 3.0, 10.0])
-    assert abs(z.mean()) < 1e-15
-    assert z.std(ddof=1) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        standardize_batch([1.0])
-    with pytest.raises(ValueError):
-        standardize_batch([2.0, 2.0, 2.0])
-
 
 def test_residuals_csv_roundtrip(tmp_path):
     path = str(tmp_path / "r.csv")
