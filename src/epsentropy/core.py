@@ -401,7 +401,8 @@ def stream_words(seed: int, ids) -> np.ndarray:
         raise ValueError("seed and stream_id must be nonnegative")
     pool, h = _seed_pool(int(seed))
     # spawn word j is hashed once per pool word d, at step 4j + d of every key
-    xor, mul = (a.reshape(-1, 4) for a in _hash_constants(h, _MULT_A, 4 * _n_words(max(ids, default=0))))
+    steps = 4 * _n_words(max(ids, default=0))
+    xor, mul = (a.reshape(-1, 4) for a in _hash_constants(h, _MULT_A, steps))
     out = np.empty((len(ids), 4), dtype=np.uint64)
     for n_words, at, group in _by_length(ids):
         mixer = np.array(pool, dtype=np.uint32)

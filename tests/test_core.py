@@ -284,9 +284,11 @@ def test_rng_stream_is_the_seed_sequence_stream(seed):
         assert np.array_equal(RngStream(seed, i).generator().random(1000), oracle.random(1000))
 
 
-@pytest.mark.parametrize("seed,ids", [(-1, [0]), (0, [-2]), (1.5, [0]), (True, [0]), (0, [0.5])])
-def test_stream_words_validation(seed, ids):
-    with pytest.raises((ValueError, TypeError)):
+@pytest.mark.parametrize("seed,ids,error", [(-1, [0], ValueError), (0, [3, -2], ValueError),
+                                           (1.5, [0], ValueError), (True, [0], ValueError),
+                                           (0, [0.5], TypeError)])
+def test_stream_words_validation(seed, ids, error):
+    with pytest.raises(error):
         stream_words(seed, ids)
 
 

@@ -426,8 +426,8 @@ def test_the_nudge_runs_over_the_whole_block(monkeypatch):
 
     monkeypatch.setattr(processes, "stream_generator", lambda words: HalfZeros())
     # nudged to 2^-54 in every row where a quantile follows; left as drawn otherwise
-    assert np.unique(sampler(FAMILIES["gaussian_ma_2"], 9).draw_block(5, range(3))).tolist() == [2.0**-54, 0.5]
-    assert np.unique(sampler(FAMILIES["iid_uniform_2"], 9).draw_block(5, range(3))).tolist() == [0.0, 0.5]
+    for name, low in (("gaussian_ma_2", 2.0**-54), ("iid_uniform_2", 0.0)):
+        assert np.unique(sampler(FAMILIES[name], 9).draw_block(5, range(3))).tolist() == [low, 0.5]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
