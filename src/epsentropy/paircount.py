@@ -20,11 +20,12 @@ confirms it, and bisection on the test finds the rest.
   distances of the window pairs, added column by column from the left, are
   filtered in blocks, written into the few block buffers a pass allocates
   once, which hold at most 8 _BLOCK floats together, so memory stays
-  O(n d) however many pairs are close.  The sorted columns are padded with NaN, so the test
-  sum <= eps^2 needs no window mask.  Lagged triples need the degrees,
-  adj_i = [i+h in N(i)] and sum_i |N(i) & N(i+h)|: each hit (c, a) within
-  eps0, in both directions, probes whether c is within eps0 of a+h by the
-  same rounded test, _HITS hits at a time, so memory stays O(n d + _HITS).
+  O(n d) however many pairs are close.  The sorted columns are padded with
+  NaN, so the test sum <= eps^2 needs no window mask.  Lagged triples need
+  the degrees, adj_i = [i+h in N(i)] and sum_i |N(i) & N(i+h)|: each hit
+  (c, a) within eps0, in both directions, probes whether c is within eps0
+  of a+h by the same rounded test, _HITS hits at a time, so memory stays
+  O(n d + _HITS).
 * column subsets (count_subset_pairs): the same holds for any one column
   of a subset, since the rounded sum is never below any of its terms.  The
   subsets that share their smallest column are counted in one window pass

@@ -7,8 +7,9 @@ closed form, carries the population values of the estimated functionals
 and the long-run density variance zeta when it is known exactly).
 
 Each family is written once, as two layers (a Sampler): a draw of the
-series' uniforms from a block of streams seeded in one pass, and a shape step that turns a (k, width) block of
-drawn rows into k samples, running the elementwise work once per block.
+series' uniforms from a block of streams seeded in one pass, and a shape
+step that turns a (k, width) block of drawn rows into k samples, running
+the elementwise work once per block.
 One table maps each family name to its params reader (ProcessSpec.from_json)
 and its Sampler builder (sampler).  generate is the k = 1 case; a replicate
 study draws many streams and shapes them together, with the same bits per
