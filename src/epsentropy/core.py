@@ -17,7 +17,6 @@ import csv
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "unit_ball_volume",
     "normal_quantile",
     "normal_cdf",
-    "worker_count",
     "read_sample_csv",
     "write_sample_csv",
     "read_symbol_csv",
@@ -79,10 +77,6 @@ class SeriesSample:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def project(self, columns) -> "SeriesSample":
-        """Sub-sample restricted to the given column indices (key subsets)."""
-        return SeriesSample(self.points[:, checked_columns(columns, self.d)])
 
 
 def checked_columns(columns, d: int) -> list[int]:
@@ -240,33 +234,31 @@ def normal_quantile(p):
     """Standard normal quantile Phi^{-1}(p) for p in (0, 1).
 
     Accepts scalars or arrays; raises on p outside the open interval, NaN
-    included.  Each value takes one of three AS 241 branches, and each
-    branch gathers its values once, contiguously, and evaluates them in one
-    fixed order: q A(r) / B(r) with q = p - 1/2, r = 0.180625 - q^2 where
-    |q| <= 0.425; otherwise, with s = sqrt(-log(min(p, 1 - p))),
+    included.  Each value takes one of three AS 241 branches, each evaluated
+    in one fixed order: q A(r) / B(r) with q = p - 1/2, r = 0.180625 - q^2
+    where |q| <= 0.425; otherwise, with s = sqrt(-log(min(p, 1 - p))),
     C(s - 1.6) / D(s - 1.6) where s <= 5 and E(s - 5) / F(s - 5) beyond,
     negated for p < 1/2; every polynomial by Horner's rule from its top
-    coefficient.  So a value's bits do not depend on the shape of p or on
-    the other values.
+    coefficient.  When any value is central, the central rational runs over
+    the whole array in place (B stays positive for every |q| < 1/2), and
+    the tail branches, each on its values gathered once, then write over
+    the tail values.  So a value's bits do not depend on the shape of p or
+    on the other values.
     """
     arr = np.asarray(p, dtype=np.float64)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     flat = arr.ravel()
-    # q = p - 1/2, overwritten by the quantiles one branch at a time
+    # q = p - 1/2, overwritten by the quantiles
     out = flat - 0.5
-    central = np.abs(out) <= 0.425
-    tail = np.flatnonzero(~central)
+    tail = np.flatnonzero(np.abs(out) > 0.425)
     lower = out[tail] < 0.0
 
-    at = np.flatnonzero(central)
-    if at.size:
-        q = out[at]
-        r = q * q
+    if tail.size < out.size:
+        r = out * out
         np.subtract(0.180625, r, out=r)
-        q *= _horner(_A, r)
-        q /= _horner(_B, r)
-        out[at] = q
+        out *= _horner(_A, r)
+        out /= _horner(_B, r)
 
     if tail.size:
         pt = flat[tail]
@@ -481,28 +473,9 @@ class RngStream:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Worker cap for task pools.
-
-    No pool in the package calls it now; epskeys and montecarlo keep the name
-    because perfbench/worker.py wraps it there.
-
-    RENYI_THREADS overrides when set (min 1); otherwise the CPU count.  Never
-    more workers than tasks.  Results must still be merged by task index;
-    the pool size only affects wall time, never output.
-    """
-    if n_tasks < 1:
-        return 1
-    env = os.environ.get("RENYI_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"RENYI_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ValueError(f"RENYI_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return min(cap, n_tasks)
+    """1: every task runs on the calling thread.  Nothing in the package calls
+    it; montecarlo and epskeys import it because perfbench/worker.py rebinds it."""
+    return 1
 
 
 # ---------------------------------------------------------------------------

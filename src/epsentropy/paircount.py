@@ -73,11 +73,6 @@ __all__ = [
 # a 2-D count, and a 64-column count would hold 0.5 MiB more beside its
 # O(n d) columns.
 _BLOCK = 1 << 14
-# values per stack of replicates given to one _counts call by a Monte Carlo
-# study (montecarlo._counted): a 1-D lag reads and writes about eight arrays
-# of 8 bytes a value, which at 2^15 values stay within a 2 MiB L2 cache;
-# 2^16 values counted 100 samples of n = 500 about 20% slower on a 2-vCPU Xeon
-_STACK_VALUES = 1 << 15
 # hits within eps0 that a d >= 2 window pass hands on at a time to the lag
 # probes (_probe_hits): 2^13 hits are 2^14 directed probes, about eight
 # arrays of 128 KiB within a 2 MiB L2 cache; on a 2-D MA(2) report (n = 20000,
@@ -504,7 +499,8 @@ def _probe_hits(pts: np.ndarray, cols: np.ndarray, eps0_sq: float, lags, deg: np
                 overlap: list, i: np.ndarray, j: np.ndarray) -> None:
     """Add hits (i[t], j[t]) within eps0 of an (n, d) sample pts to its
     degrees deg and, per lag h = lags[k], to overlap[k]; cols (d, n) holds
-    its columns with NaN at n-1.  As a is in N(c) iff c is in N(a),
+    its columns with NaN at n-1, or is None when no lag h >= 1 is asked,
+    and then the degrees are all.  As a is in N(c) iff c is in N(a),
     sum_{a <= n-h-2} |N(a) & N(a+h)| counts the directed hits (c, a) whose c
     is within eps0 of a+h <= n-2, a+h != c.  Each probes that by the test
     that defines a hit, fl(x_{a+h} - x_c) squared (as fl(x_c - x_{a+h}) is)
@@ -512,8 +508,10 @@ def _probe_hits(pts: np.ndarray, cols: np.ndarray, eps0_sq: float, lags, deg: np
     and fails; a+h == c passes once per adj_a = 1, which _lag_triples takes off.
     """
     c = np.concatenate((i, j))
-    a = np.concatenate((j, i))
     deg += np.bincount(c, minlength=deg.shape[0])
+    if cols is None:
+        return
+    a = np.concatenate((j, i))
     x_c = np.take(pts.T, c, axis=1)
     out, scratch = np.empty(c.shape[0]), np.empty(c.shape[0])
     for k, h in enumerate(lags):
@@ -528,15 +526,16 @@ def _probe_hits(pts: np.ndarray, cols: np.ndarray, eps0_sq: float, lags, deg: np
 def _lag_triples(cols: np.ndarray, eps0_sq: float, lags, deg: np.ndarray, overlap: list) -> list[int]:
     """Lagged-triple counts per lag from the degrees and probe counts of
     _probe_hits; adj_i, whether x_{i+h} is within eps0 of x_i, takes the
-    same test on the same cols, whose NaN at n-1 no anchor reads."""
-    d, n = cols.shape
+    same test on the same cols, whose NaN at n-1 no anchor reads.  Lag 0
+    reads only the degrees, and cols is None when it is the only lag."""
+    n = deg.shape[0]
     adj = np.empty(n, dtype=np.int64)
     terms = np.empty(n, dtype=np.int64)
     counts = []
     for h, probed in zip(lags, overlap):
         if h:
             sq = _sq_sum(lambda c, buf: np.square(np.subtract(cols[c, :-h], cols[c, h:], out=buf), out=buf),
-                         range(d), np.empty(n - h), np.empty(n - h))
+                         range(len(cols)), np.empty(n - h), np.empty(n - h))
             np.less_equal(sq, eps0_sq, out=adj[: n - h])
             probed -= int(adj[: n - h].sum())
         counts.append(_lagged_triples(deg, h, adj, probed, terms))
@@ -568,17 +567,21 @@ def _counts(x: np.ndarray, eps: float, eps0: float, lags) -> list[tuple[int, flo
     takes one window pass (_window_scan) at the larger radius, or at eps
     with no lags.  With lags, the pass hands its hits within eps0 to the
     probes of every lag (_probe_hits) and keeps none, so memory is O(n d)
-    plus the hit buffer.  Its minimum is exact when it is within the pass
-    radius; a caller that reports it completes it with _exact_min_sq,
-    which a study, not reading it, never pays.
+    plus the hit buffer; at lag 0 alone (r = 0) they only add up the
+    degrees, and the NaN-padded columns a lag h >= 1 reads are not built.
+    Its minimum is exact when it is within the pass radius; a caller that
+    reports it completes it with _exact_min_sq, which a study, not reading
+    it, never pays.
     """
     n, d = x.shape[1:]
     if d == 1:
         return _counts_1d(x[:, :, 0], eps, eps0, lags)
     out = []
     for pts in x:
-        cols = pts.T.copy()
-        cols[:, -1] = np.nan
+        cols = None
+        if any(lags):
+            cols = pts.T.copy()
+            cols[:, -1] = np.nan
         deg = np.zeros(n, dtype=np.int64)
         overlap = [0] * len(lags)
         probe = partial(_probe_hits, pts, cols, eps0 * eps0, lags, deg, overlap)

@@ -125,16 +125,6 @@ def test_ranking_ignores_input_order_and_attribute_order(data):
                         for s in subsets}
 
 
-def test_ranking_is_thread_count_invariant(monkeypatch):
-    table = _int_table(406, 40, 5, hi=3)
-    subsets = all_subsets(5, 2)
-    monkeypatch.setenv("RENYI_THREADS", "1")
-    serial = rank_candidates(table, subsets, eps=0.9)
-    monkeypatch.setenv("RENYI_THREADS", "3")
-    threaded = rank_candidates(table, subsets, eps=0.9)
-    assert serial == threaded
-
-
 def test_all_subsets_enumeration_and_caps():
     assert all_subsets(5, 2) == list(combinations(range(5), 2))
     assert all_subsets(3, 3) == [(0, 1, 2)]

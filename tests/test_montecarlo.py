@@ -180,16 +180,6 @@ def test_residual_study_single_replicate_matches_by_hand():
     assert out.residuals[2] == residual_from_report(rep, 1.0, ResidualKind.Q_SQRTN)
 
 
-def test_residual_study_thread_count_does_not_change_output(monkeypatch):
-    plan = _plan(spec=iid_uniform_process(1), kind="q_sqrtn", n=60, n_sim=10,
-                 config=EstimateConfig(eps=0.05))
-    monkeypatch.setenv("RENYI_THREADS", "1")
-    serial = run_residual_study(plan)
-    monkeypatch.setenv("RENYI_THREADS", "4")
-    threaded = run_residual_study(plan)
-    assert serial.residuals == threaded.residuals
-
-
 def test_replicate_failures_carry_the_replicate_id():
     plan = _plan(n=10, config=EstimateConfig(eps=0.1, r=8))  # needs n >= 12
     with pytest.raises(RuntimeError, match="replicate 0"):
@@ -199,7 +189,7 @@ def test_replicate_failures_carry_the_replicate_id():
 def test_residual_study_over_the_stack_budget_matches_one_by_one():
     # 250 replicates of n = 700 fill more than two stacks
     plan = _plan(n=700, n_sim=250, config=EstimateConfig(eps=0.1, eps0=0.12, r=5), base_seed=11)
-    assert plan.n * plan.n_sim > 2 * paircount._STACK_VALUES
+    assert plan.n * plan.n_sim > 2 * montecarlo._STACK_VALUES
     out = run_residual_study(plan)
     one_by_one = tuple(
         residual_from_report(
@@ -268,7 +258,7 @@ def test_shaping_failure_names_its_replicate(monkeypatch):
 def _rows_per_stack(monkeypatch, spec, n, rows):
     """Patch the value budget so that a stack holds `rows` drawn rows (None: as it is)."""
     if rows is not None:
-        monkeypatch.setattr(paircount, "_STACK_VALUES", rows * montecarlo.sampler(spec, n).width)
+        monkeypatch.setattr(montecarlo, "_STACK_VALUES", rows * montecarlo.sampler(spec, n).width)
 
 
 def _study_bits(plan):

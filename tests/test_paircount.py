@@ -502,15 +502,16 @@ def _lattice_lags(draw):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(_lattice_lags())
 def test_nd_lags_match_brute_counts_at_every_flush_size(case):
-    # the lag probes take the hits one at a time, a few at a time or all at once
+    # the lag probes take the hits one at a time, a few at a time or all at
+    # once; at lag 0 alone (r = 0) they only add up the degrees
     pts, eps, eps0 = case
-    lags = range(7)
-    want = [brute_uh_count(pts, h, eps0) for h in lags]
-    for hits in (1, 5, paircount._HITS):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(paircount, "_HITS", hits)
-            [(n_close, _, counts)] = paircount._counts(pts[None], eps, eps0, lags)
-        assert (n_close, counts) == (brute_pair_count(pts, eps), want)
+    for lags in (range(1), range(7)):
+        want = [brute_uh_count(pts, h, eps0) for h in lags]
+        for hits in (1, 5, paircount._HITS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(paircount, "_HITS", hits)
+                [(n_close, _, counts)] = paircount._counts(pts[None], eps, eps0, lags)
+            assert (n_close, counts) == (brute_pair_count(pts, eps), want)
 
 
 def test_one_window_pass_per_nd_sample(monkeypatch):

@@ -16,7 +16,7 @@ from helpers import (
     quad_power_integral,
 )
 
-from epsentropy import montecarlo, paircount, processes
+from epsentropy import montecarlo, processes
 from epsentropy.core import RngStream, normal_quantile
 from epsentropy.processes import (
     COPULA_MARGINALS,
@@ -461,7 +461,7 @@ def test_stacks_across_the_value_budget_match_one_stream_at_a_time(name):
     spec = FAMILIES[name]
     n = 12_000 if name == "iid_uniform_3" else 5_000
     gen = sampler(spec, n)
-    assert 7 * gen.width > paircount._STACK_VALUES
+    assert 7 * gen.width > montecarlo._STACK_VALUES
     shaped = montecarlo._counted(gen, n, 7, 17, list)
     assert [x.tobytes() for x in shaped] == [
         _bits(generate(spec, n, RngStream(17, i)).sample) for i in range(7)]
