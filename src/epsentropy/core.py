@@ -5,10 +5,13 @@ on a ``SeriesSample``: an immutable (n, d) float64 array of consecutive
 observations from a stationary sequence.  This module also carries the small
 amount of closed-form special-function machinery the estimators need:
 
-* unit-ball volumes through the half-integer gamma recursion,
+* unit-ball volumes and the maximum-entropy constant k_d, both through the
+  half-integer gamma recursion, behind one dimension check,
 * the standard normal quantile (rational approximation, so samplers and
   confidence intervals do not depend on an external statistics library),
-* reproducible, splittable random streams keyed by (seed, stream_id).
+* reproducible, splittable random streams keyed by (seed, stream_id):
+  numpy's SeedSequence mixes the seed, and stream_words runs the spawn-key
+  round and the output hash over a whole stack of stream ids at once.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ __all__ = [
     "stream_words",
     "stream_generator",
     "ball_volume",
+    "checked_int",
     "checked_q2",
     "checked_columns",
     "unit_ball_volume",
+    "k_d",
     "normal_quantile",
     "normal_cdf",
     "read_sample_csv",
@@ -79,9 +84,18 @@ class SeriesSample:
         return self.points.shape[1]
 
 
+def checked_int(value, name: str) -> int:
+    """value as a Python int, or a ValueError naming it: a bool, a float or
+    any other non-integer is never truncated.  numpy integers are accepted."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def checked_columns(columns, d: int) -> list[int]:
-    """The column indices as a list, checked to be distinct and in [0, d)."""
-    cols = list(columns)
+    """The column indices as Python ints, checked to be integers, distinct
+    and in [0, d)."""
+    cols = [checked_int(c, "column") for c in columns]
     if len(cols) == 0:
         raise ValueError("projection needs at least one column")
     if len(set(cols)) != len(cols):
@@ -110,13 +124,30 @@ def _gamma_half(two_a: int) -> float:
     return g
 
 
-def unit_ball_volume(d: int) -> float:
-    """Volume of the Euclidean unit ball in R^d: 2 pi^{d/2} / (d Gamma(d/2))."""
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise ValueError("dimension must be an integer")
+def _checked_dim(d) -> int:
+    d = checked_int(d, "dimension")
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {d}")
-    return 2.0 * math.pi ** (d / 2.0) / (d * _gamma_half(int(d)))
+    return d
+
+
+def unit_ball_volume(d: int) -> float:
+    """Volume of the Euclidean unit ball in R^d: 2 pi^{d/2} / (d Gamma(d/2))."""
+    d = _checked_dim(d)
+    return 2.0 * math.pi ** (d / 2.0) / (d * _gamma_half(d))
+
+
+def k_d(d: int) -> float:
+    """Maximum-entropy constant Gamma(3+d/2) pi^{d/2} / (2 Gamma(2+d/2)^2 beta^{d/2}).
+
+    beta = 1/(4+d): the limit of exp(h2) / sqrt(det Sigma) under the Pearson
+    type-II law in R^d (see gof).
+    """
+    d = _checked_dim(d)
+    beta = 1.0 / (4.0 + d)
+    num = _gamma_half(6 + d) * math.pi ** (d / 2.0)
+    den = 2.0 * _gamma_half(4 + d) ** 2 * beta ** (d / 2.0)
+    return num / den
 
 
 def ball_volume(d: int, eps: float) -> float:
@@ -324,41 +355,20 @@ def _hash_constants(h: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarr
 _OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     """SeedSequence's pool and running hash constant after it has mixed in
     seed, the entropy every spawn key of the seed shares.
 
-    A spawn key pads the seed's 32-bit words (low word first) with zeros to
-    the pool size, so the pool takes only seed words, and each key word is
-    mixed in after them.
+    A spawn key pads the seed's 32-bit words to the pool size with zeros,
+    and SeedSequence hashes a missing word as it hashes a zero, so the keyed
+    pool before its key words is SeedSequence(seed).pool.  Each hash step
+    multiplies the constant by _MULT_A: sixteen steps mix the pool's own
+    words, and four mix in each seed word past the fourth.
     """
-    words = []
-    while seed:
-        words.append(seed & _M32)
-        seed >>= 32
-    words += [0] * (4 - len(words))
-    h = _INIT_A
+    from numpy.random import SeedSequence
 
-    def hashmix(v: int) -> int:
-        nonlocal h
-        v ^= h
-        h = h * _MULT_A & _M32
-        v = v * h & _M32
-        return v ^ (v >> 16)
-
-    def mix(x: int, y: int) -> int:
-        r = (_MIX_L * x - _MIX_R * y) & _M32
-        return r ^ (r >> 16)
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool, h
+    steps = 16 + 4 * max(0, _n_words(seed) - 4)
+    return SeedSequence(seed).pool, _INIT_A * pow(_MULT_A, steps, _M32 + 1) & _M32
 
 
 def _n_words(i: int) -> int:
@@ -386,18 +396,17 @@ def stream_words(seed: int, ids) -> np.ndarray:
     spawn-key round and the output hash run as uint32 arithmetic over all
     ids at once, one group per id length in 32-bit words.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError("seed must be an integer")
+    seed = checked_int(seed, "seed")
     ids = [operator.index(i) for i in ids]
     if seed < 0 or min(ids, default=0) < 0:
         raise ValueError("seed and stream_id must be nonnegative")
-    pool, h = _seed_pool(int(seed))
+    pool, h = _seed_pool(seed)
     # spawn word j is hashed once per pool word d, at step 4j + d of every key
     steps = 4 * _n_words(max(ids, default=0))
     xor, mul = (a.reshape(-1, 4) for a in _hash_constants(h, _MULT_A, steps))
     out = np.empty((len(ids), 4), dtype=np.uint64)
     for n_words, at, group in _by_length(ids):
-        mixer = np.array(pool, dtype=np.uint32)
+        mixer = pool
         for j in range(n_words):
             word = np.array([i >> 32 * j & _M32 for i in group], dtype=np.uint32)
             v = word[:, None] ^ xor[j]
@@ -460,10 +469,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
-        if not isinstance(self.stream_id, (int, np.integer)) or isinstance(self.stream_id, bool):
-            raise ValueError("stream_id must be an integer")
+        checked_int(self.seed, "seed")
+        checked_int(self.stream_id, "stream_id")
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be nonnegative")
 

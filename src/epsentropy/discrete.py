@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .core import checked_int
 from .estimators import ResidualKind, _residual, _zeta_from, triple_normalizer
 from .paircount import _lagged_triples
 
@@ -96,7 +97,7 @@ def discrete_report(sample: DiscreteSample, r: int) -> DiscreteReport:
     qn^2) is the continuous zeta formula, not clamped; it converges to zero
     for an iid uniform alphabet, where the normal pivots are unavailable.
     """
-    r = int(r)
+    r = checked_int(r, "r")
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     if sample.n < r + 4:

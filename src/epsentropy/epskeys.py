@@ -85,7 +85,7 @@ def rank_candidates(table: SeriesSample, subsets, eps: float) -> list[KeyCandida
     cardinalities are rejected: q2 values at different dimensions are scaled
     by different ball volumes and cannot be compared.
     """
-    subset_list = [tuple(int(a) for a in s) for s in subsets]
+    subset_list = [tuple(s) for s in subsets]
     if not subset_list:
         raise ValueError("need at least one subset")
     sizes = {len(s) for s in subset_list}
@@ -102,8 +102,7 @@ def rank_candidates(table: SeriesSample, subsets, eps: float) -> list[KeyCandida
     if table.n < 2:
         raise ValueError("need at least two rows to look for collisions")
     volume = ball_volume(size, _checked_eps(eps))
-    for attrs in subset_list[1:]:
-        checked_columns(attrs, table.d)
+    subset_list = [tuple(checked_columns(attrs, table.d)) for attrs in subset_list]
     counts = count_subset_pairs(table.points, subset_list, eps)
     pairs = table.n * (table.n - 1) // 2
     candidates = []

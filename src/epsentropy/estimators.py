@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SeriesSample, ball_volume, checked_q2, unit_ball_volume
+from .core import SeriesSample, ball_volume, checked_int, checked_q2, unit_ball_volume
 from .paircount import _counts, _exact_min_sq
 # the d >= 2 lag probes and per-lag triple counts, under the names of the steps they replaced
 from .paircount import (  # noqa: F401  (unused; perfbench/spans.py wraps them)
@@ -65,7 +65,7 @@ class EstimateConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.eps0 is not None and not (float(self.eps0) > 0.0 and math.isfinite(self.eps0)):
             raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
-        if not isinstance(self.r, (int, np.integer)) or isinstance(self.r, bool) or self.r < 0:
+        if checked_int(self.r, "r") < 0:
             raise ValueError(f"r must be a nonnegative integer, got {self.r}")
 
     @property

@@ -8,10 +8,12 @@ log sqrt(det Sigma).  The scale-free statistic
     exp(h2_hat) / sqrt(det Sigma_n)
 
 therefore converges to the constant k_d(d) exactly under the maximum-entropy
-null, and to something strictly smaller under alternatives.  The test emits
-the ratio statistic / k_d plus a directional verdict: reject when the ratio
-falls below 1 - delta.  No support check is attempted; under a misspecified
-support the ratio is still reported and simply loses its calibration.
+null, and to something strictly smaller under alternatives.  k_d comes from
+core, beside the unit-ball volume whose Gamma recursion it shares.  The test
+emits the ratio statistic / k_d plus a directional verdict: reject when the
+ratio falls below 1 - delta.  No support check is attempted; under a
+misspecified support the ratio is still reported and simply loses its
+calibration.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import SeriesSample, ball_volume, checked_q2
+from .core import SeriesSample, ball_volume, checked_q2, k_d
 from .paircount import count_subset_pairs
 
 __all__ = ["GofResult", "sample_covariance", "k_d", "gof_statistic"]
@@ -59,23 +61,6 @@ def sample_covariance(sample: SeriesSample) -> tuple[np.ndarray, np.ndarray]:
             "apart for float arithmetic"
         )
     return mean, cov
-
-
-def k_d(d: int) -> float:
-    """Maximum-entropy constant Gamma(3+d/2) pi^{d/2} / (2 Gamma(2+d/2)^2 beta^{d/2}).
-
-    beta = 1/(4+d).  Gamma values come from the exact half-integer recursion.
-    """
-    from .core import MAX_DIM, _gamma_half
-
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise ValueError("dimension must be an integer")
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {d}")
-    beta = 1.0 / (4.0 + d)
-    num = _gamma_half(6 + d) * math.pi ** (d / 2.0)
-    den = 2.0 * _gamma_half(4 + d) ** 2 * beta ** (d / 2.0)
-    return num / den
 
 
 def gof_statistic(sample: SeriesSample, eps: float, delta: float = 0.1) -> GofResult:

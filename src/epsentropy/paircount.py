@@ -51,7 +51,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SeriesSample, checked_columns
+from .core import SeriesSample, checked_columns, checked_int
 
 __all__ = [
     "PairCountResult",
@@ -548,7 +548,7 @@ def count_uh_triples(sample: SeriesSample, h: int, eps0: float) -> int:
     A triple counts when d(X_i, X_j) <= eps0 and d(X_{i+h}, X_k) <= eps0 with
     0 <= i <= n-h-2 and j, k distinct indices outside {i, i+h}.
     """
-    h = int(h)
+    h = checked_int(h, "lag")
     if h < 0:
         raise ValueError(f"lag must be nonnegative, got {h}")
     if sample.n < h + 4:

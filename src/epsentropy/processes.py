@@ -13,7 +13,8 @@ the elementwise work once per block.
 One table maps each family name to its params reader (ProcessSpec.from_json)
 and its Sampler builder (sampler).  generate is the k = 1 case; a replicate
 study draws many streams and shapes them together, with the same bits per
-row.
+row.  Streams and the pearson2 constant k_d come from core, so generating
+imports no statistic module.
 
 Families:
 
@@ -37,8 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import RngStream, SeriesSample, normal_quantile, stream_generator, stream_words
-from .gof import k_d
+from .core import RngStream, SeriesSample, checked_int, k_d, normal_quantile, stream_generator, stream_words
 
 __all__ = [
     "ProcessTruth",
@@ -216,10 +216,11 @@ def lognormal_onedep_process() -> ProcessSpec:
 
 def iid_uniform_process(d: int = 1) -> ProcessSpec:
     """Independent Uniform[0,1]^d rows (regime probes)."""
+    d = checked_int(d, "dimension")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     truth = ProcessTruth(q2=1.0, h2=0.0, q3=1.0, h3=0.0, zeta=0.0)
-    return ProcessSpec(family="iid_uniform", params={"d": int(d)}, m=0, truth=truth)
+    return ProcessSpec(family="iid_uniform", params={"d": d}, m=0, truth=truth)
 
 
 def pearson2_process(mu, sigma, m: int | None = None) -> ProcessSpec:
@@ -244,7 +245,7 @@ def pearson2_process(mu, sigma, m: int | None = None) -> ProcessSpec:
         raise ValueError("sigma must be symmetric positive definite") from None
     if m is None:
         m = d + 3
-    m = int(m)
+    m = checked_int(m, "dependence parameter m")
     if not 1 <= m <= d + 3:
         raise ValueError(f"dependence parameter m must be in [1, {d + 3}], got {m}")
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
@@ -338,9 +339,10 @@ class Sampler:
 
 
 def _require_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    n = checked_int(n, "series length")
+    if n < 1:
         raise ValueError(f"series length must be a positive integer, got {n}")
-    return int(n)
+    return n
 
 
 def _ma_sampler(params: dict, n: int, lognormal: bool) -> Sampler:

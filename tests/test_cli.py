@@ -670,10 +670,10 @@ def _child_json(tmp_path, code):
 
 @pytest.mark.parametrize("subcommand,added", [
     ("estimate", []),
-    ("simulate", ["gof", "montecarlo", "processes"]),
+    ("simulate", ["montecarlo", "processes"]),
     ("gof", ["gof"]),
     ("keys", ["epskeys"]),
-    ("generate", ["gof", "processes"]),
+    ("generate", ["processes"]),
     ("discrete", ["discrete"]),
 ])
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, sample_csv, table_csv, symbols_csv,
@@ -690,14 +690,17 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, sample_csv, table_c
         "discrete": ["--input", symbols_csv[0], "--r", "1", "--truth", "0.3", "--kind", "h",
                      "--output", out],
     }[subcommand]
-    before, code, after = _child_json(tmp_path, f"""
+    before, random, code, after = _child_json(tmp_path, f"""
 import epsentropy.cli
 before = loaded()
+random = "numpy.random" in sys.modules
 code = epsentropy.cli.main({[subcommand, *argv]!r})
-print(json.dumps([before, code, loaded()]))
+print(json.dumps([before, random, code, loaded()]))
 """)
     cli_path = ["asymptotics", "cli", "core", "estimators", "paircount"]
     assert before == cli_path
+    # core seeds streams through numpy.random, imported on first use only
+    assert not random
     assert code == 0
     assert after == sorted(cli_path + added)
 

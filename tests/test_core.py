@@ -16,6 +16,7 @@ from epsentropy.core import (
     RngStream,
     SeriesSample,
     ball_volume,
+    checked_columns,
     normal_cdf,
     normal_quantile,
     read_sample_csv,
@@ -90,6 +91,18 @@ def test_unit_ball_volume_rejects(d):
 @pytest.mark.parametrize("d,eps", [(1, 0.1), (2, 0.25), (3, 1.5), (7, 0.01)])
 def test_ball_volume_scales_as_eps_power(d, eps):
     assert ball_volume(d, eps) / unit_ball_volume(d) == pytest.approx(eps**d, rel=1e-14)
+
+
+@pytest.mark.parametrize("columns", [[0, 1.5], [0, True], [np.float64(1.0)], ["1"]])
+def test_checked_columns_rejects_non_integers(columns):
+    # a float or a bool is never truncated to a column index
+    with pytest.raises(ValueError, match="column must be an integer"):
+        checked_columns(columns, 3)
+
+
+def test_checked_columns_gives_python_ints():
+    cols = checked_columns(np.array([2, 0], dtype=np.int64), 3)
+    assert cols == [2, 0] and all(type(c) is int for c in cols)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
@@ -246,8 +259,9 @@ def test_rng_stream_validation(seed, sid):
 
 
 # numpy's SeedSequence is the oracle of the seed words: one- and multi-word
-# seeds and spawn keys, at the edges of a 32-bit word
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3, DEFAULT_SEED]
+# seeds and spawn keys, at the edges of a 32-bit word, and a seven-word seed
+# whose words past the pool size each add four hash steps
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3, 2**200 + 12345, DEFAULT_SEED]
 STREAM_IDS = [0, 1, 63, 64, 2**31, 2**32 - 1, 2**32, 2**40]
 
 

@@ -144,6 +144,12 @@ def test_u3_needs_enough_observations():
         discrete_report(_sym(13, 6, 2), -1)
 
 
+@pytest.mark.parametrize("r", [1.9, 1.0, True])
+def test_lag_bound_is_never_truncated(r):
+    with pytest.raises(ValueError, match="r must be an integer"):
+        discrete_report(_sym(14, 30, 3), r)
+
+
 # ---------------------------------------------------------------------------
 # variance plug-in and residuals
 # ---------------------------------------------------------------------------

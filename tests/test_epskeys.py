@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -144,6 +145,18 @@ def test_rank_candidates_rejections():
         rank_candidates(table, [(0,), (0, 1)], eps=0.9)
     with pytest.raises(ValueError, match="cap"):
         rank_candidates(table, [(0,)] * 100_001, eps=0.9)
+
+
+def test_non_integer_columns_are_rejected_and_numpy_ints_stay_json_safe():
+    table = _int_table(409, 20, 3)
+    for subsets in ([(0, 1.5)], [(0, True)], [(0, 1), (0, 2.0)]):
+        with pytest.raises(ValueError, match="column must be an integer"):
+            rank_candidates(table, subsets, eps=0.2)
+    ranked = rank_candidates(table, [np.array([2, 0]), (np.int32(1), 0)], eps=0.2)
+    assert sorted(c.attributes for c in ranked) == [(0, 1), (0, 2)]
+    for c in ranked:
+        assert all(type(a) is int for a in c.attributes)
+        json.dumps(c.to_dict())
 
 
 def test_bad_columns_and_tiny_tables_are_rejected():

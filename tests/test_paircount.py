@@ -312,6 +312,10 @@ def test_uh_count_validation():
         count_uh_triples(s, -1, 0.5)
     with pytest.raises(ValueError):
         count_uh_triples(s, 7, 0.5)  # needs n >= h + 4
+    for h in (1.9, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            count_uh_triples(s, h, 0.3)
+    assert count_uh_triples(s, np.int64(1), 0.3) == count_uh_triples(s, 1, 0.3)
 
 
 def test_exact_sum_past_int64():
@@ -716,7 +720,8 @@ def test_subset_counts_are_bounded_blocks(monkeypatch):
 def test_subset_counts_reject_what_the_projection_rejects():
     pts = _sample(69, 5, 3).points
     for subsets, message in (([(0, 3)], r"column 3 outside \[0, 3\)"), ([(1, 1)], "distinct"),
-                             ([()], "at least one column")):
+                             ([()], "at least one column"), ([(0, 1.5)], "column must be an integer"),
+            ([(0, True)], "column must be an integer")):
         with pytest.raises(ValueError, match=message):
             count_subset_pairs(pts, subsets, 0.5)
     with pytest.raises(ValueError, match="eps must be positive"):

@@ -315,6 +315,20 @@ def test_process_parameter_validation():
         iid_uniform_process(0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_integer_process_parameters_are_never_truncated(bad):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        iid_uniform_process(bad)
+    with pytest.raises(ValueError, match="dependence parameter m must be an integer"):
+        pearson2_process([0.0], [[1.0]], m=bad)
+
+
+def test_numpy_integer_process_parameters_stay_json_safe():
+    assert iid_uniform_process(np.int64(2)).to_json() == {"family": "iid_uniform", "params": {"d": 2}}
+    spec = pearson2_process([0.0], [[1.0]], m=np.int32(2))
+    assert type(spec.params["m"]) is int and spec.m == 2
+
+
 @pytest.mark.parametrize("make,theta", [
     (gaussian_ma_process, [1e308, 1e308]),  # the norm overflows
     (gaussian_ma_process, [1e-200]),  # the norm underflows to 0
